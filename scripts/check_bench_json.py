@@ -46,7 +46,8 @@ REQUIRED_ROW_KEYS = {
     "e9": ["threads", "build_ms", "ops_per_sec_during_build",
            "update_p99_us", "commits", "failpoint_overhead_pct"],
     "e11": ["rows", "redo_threads", "restart_ms", "records_redone",
-            "speedup_vs_serial"],
+            "open_ms", "analysis_ms", "redo_ms", "catalog_load_ms",
+            "reattach_ms", "undo_ms", "attributed_pct", "speedup_vs_serial"],
     "a1": [],
     "micro": ["ns_per_op", "lookups"],
 }

@@ -8,6 +8,26 @@ namespace oib {
 
 namespace {
 constexpr char kCatalogMetaKey[] = "catalog";
+constexpr char kHeapChainsMetaKey[] = "heap_chains";
+
+// Decodes a SnapshotHeapChains blob; absent (no checkpoint yet) = empty.
+Status LoadHeapChains(DiskManager* disk,
+                      std::map<TableId, HeapFile::ChainSnapshot>* out) {
+  std::string blob;
+  Status s = disk->GetMeta(kHeapChainsMetaKey, &blob);
+  if (s.IsNotFound()) return Status::OK();
+  OIB_RETURN_IF_ERROR(s);
+  BufferReader r(blob);
+  uint32_t n;
+  if (!r.GetFixed32(&n)) return Status::Corruption("heap chains blob");
+  for (uint32_t i = 0; i < n; ++i) {
+    TableId id;
+    if (!r.GetFixed32(&id)) return Status::Corruption("heap chains blob");
+    OIB_RETURN_IF_ERROR((*out)[id].DecodeFrom(&r));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // Lock ordering: update transactions acquire mu_ (via IndexesOf in
@@ -248,6 +268,21 @@ Status Catalog::Persist() {
   return PersistLocked();
 }
 
+std::string Catalog::SnapshotHeapChains() const {
+  sync::MutexLock g(&mu_);
+  std::string blob;
+  PutFixed32(&blob, static_cast<uint32_t>(heaps_.size()));
+  for (const auto& [id, heap] : heaps_) {
+    PutFixed32(&blob, id);
+    heap->TakeChainSnapshot().EncodeTo(&blob);
+  }
+  return blob;
+}
+
+Status Catalog::PersistHeapChains(const std::string& blob) {
+  return disk_->PutMeta(kHeapChainsMetaKey, blob);
+}
+
 Status Catalog::Load() {
   std::string blob;
   Status s = disk_->GetMeta(kCatalogMetaKey, &blob);
@@ -266,6 +301,8 @@ Status Catalog::Load() {
   std::map<IndexId, std::unique_ptr<SideFile>> side_files;
   std::map<IndexId, std::unique_ptr<HashIndex>> hashes;
   std::map<TableId, std::vector<IndexId>> table_indexes;
+  std::map<TableId, HeapFile::ChainSnapshot> chains;
+  OIB_RETURN_IF_ERROR(LoadHeapChains(disk_, &chains));
   uint32_t next_table_id, next_index_id;
 
   BufferReader r(blob);
@@ -282,7 +319,9 @@ Status Catalog::Load() {
     }
     tables[info.id] = info;
     auto heap = std::make_unique<HeapFile>(info.id, pool_, txns_);
-    OIB_RETURN_IF_ERROR(heap->Open(info.first_page));
+    auto chain = chains.find(info.id);
+    OIB_RETURN_IF_ERROR(heap->Open(
+        info.first_page, chain == chains.end() ? nullptr : &chain->second));
     heaps[info.id] = std::move(heap);
   }
   if (!r.GetFixed32(&n_indexes)) return Status::Corruption("catalog blob");

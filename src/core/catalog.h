@@ -106,7 +106,16 @@ class Catalog {
   // ---- durability ----
   Status Persist();
   // Loads metadata and re-opens every table / tree / side-file object.
+  // Heaps open from the last persisted chain snapshots, so only the pages
+  // linked since then are read.
   Status Load();
+
+  // Every heap's chain snapshot (HeapFile::TakeChainSnapshot), encoded.
+  // Engine::Checkpoint takes them before it appends its checkpoint record
+  // and hands them to PersistHeapChains only once the log is durable past
+  // that record, so every page they name has a durable format/link.
+  std::string SnapshotHeapChains() const;
+  Status PersistHeapChains(const std::string& blob);
 
  private:
   Status PersistLocked() OIB_REQUIRES(mu_);

@@ -96,8 +96,10 @@ class Engine {
   Status Commit(Transaction* txn) { return txns_.Commit(txn); }
   Status Rollback(Transaction* txn) { return txns_.Rollback(txn); }
 
-  // Sharp checkpoint: flush all pages, log the active-transaction table,
-  // and record the checkpoint LSN in metadata (bounds restart redo).
+  // Checkpoint: flush all pages, log the active-transaction table and the
+  // redo start, persist every heap's chain snapshot, and record the
+  // checkpoint LSN in metadata (bounds restart redo and the heap walk).
+  // Safe to call while transactions and builds run.
   Status Checkpoint();
 
   // Clean shutdown convenience: flush everything so Restart has no work.

@@ -41,21 +41,73 @@ Status HeapFile::Create() {
   tail_page_.store(id);
   {
     sync::MutexLock g(&hints_mu_);
-    page_count_ = 1;
     chain_pages_.assign(1, id);
   }
   return Status::OK();
 }
 
-Status HeapFile::Open(PageId first) {
+void HeapFile::ChainSnapshot::EncodeTo(std::string* out) const {
+  PutFixed32(out, static_cast<uint32_t>(runs.size()));
+  for (const auto& [first, len] : runs) {
+    PutFixed32(out, first);
+    PutFixed32(out, len);
+  }
+  PutFixed32(out, static_cast<uint32_t>(hints.size()));
+  for (PageId p : hints) PutFixed32(out, p);
+}
+
+Status HeapFile::ChainSnapshot::DecodeFrom(BufferReader* in) {
+  uint32_t n;
+  if (!in->GetFixed32(&n)) return Status::Corruption("chain snapshot");
+  runs.resize(n);
+  for (auto& [first, len] : runs) {
+    if (!in->GetFixed32(&first) || !in->GetFixed32(&len) || len == 0) {
+      return Status::Corruption("chain snapshot run");
+    }
+  }
+  if (!in->GetFixed32(&n)) return Status::Corruption("chain snapshot");
+  hints.resize(n);
+  for (PageId& p : hints) {
+    if (!in->GetFixed32(&p)) return Status::Corruption("chain snapshot hint");
+  }
+  return Status::OK();
+}
+
+HeapFile::ChainSnapshot HeapFile::TakeChainSnapshot() const {
+  ChainSnapshot snap;
+  sync::MutexLock g(&hints_mu_);
+  for (PageId p : chain_pages_) {
+    if (!snap.runs.empty() &&
+        snap.runs.back().first + snap.runs.back().second == p) {
+      ++snap.runs.back().second;
+    } else {
+      snap.runs.emplace_back(p, 1);
+    }
+  }
+  snap.hints = free_hints_;
+  return snap;
+}
+
+Status HeapFile::Open(PageId first, const ChainSnapshot* snapshot) {
   first_page_ = first;
-  PageId cur = first;
-  PageId tail = first;
-  size_t count = 0;
-  uint64_t live = 0;
-  std::vector<PageId> hints;
   std::vector<PageId> chain;
-  while (cur != kInvalidPageId) {
+  std::vector<PageId> hints;
+  if (snapshot != nullptr) {
+    for (const auto& [start, len] : snapshot->runs) {
+      for (uint32_t i = 0; i < len; ++i) chain.push_back(start + i);
+    }
+    if (chain.empty() || chain.front() != first) {
+      return Status::Corruption("chain snapshot does not start at page " +
+                                std::to_string(first));
+    }
+    hints = snapshot->hints;
+  }
+  // Pages below `known` carry their hints in the snapshot; the walk reads
+  // the last known page (for its next link) and every page after it.
+  const size_t known = chain.size();
+  if (chain.empty()) chain.push_back(first);
+  for (size_t i = chain.size() - 1;; ++i) {
+    PageId cur = chain[i];
     auto guard = pool_->FetchRead(cur);
     if (!guard.ok()) return guard.status();
     SlottedPage sp(const_cast<char*>(guard->data()),
@@ -68,19 +120,12 @@ Status HeapFile::Open(PageId first) {
       return Status::Corruption("heap chain self-loop at page " +
                                 std::to_string(cur));
     }
-    for (SlotId s = 0; s < sp.slot_count(); ++s) {
-      if (sp.IsLive(s)) ++live;
-    }
-    if (sp.FreeSpaceForInsert() > 64) hints.push_back(cur);
-    chain.push_back(cur);
-    ++count;
-    tail = cur;
-    cur = sp.next_page();
+    if (i >= known && sp.FreeSpaceForInsert() > 64) hints.push_back(cur);
+    if (sp.next_page() == kInvalidPageId) break;
+    chain.push_back(sp.next_page());
   }
-  tail_page_.store(tail);
-  live_records_.store(live);
+  tail_page_.store(chain.back());
   sync::MutexLock g(&hints_mu_);
-  page_count_ = count;
   free_hints_ = std::move(hints);
   chain_pages_ = std::move(chain);
   return Status::OK();
@@ -121,7 +166,6 @@ StatusOr<PageId> HeapFile::ExtendChain() {
   tail_page_.store(id);
   {
     sync::MutexLock g(&hints_mu_);
-    ++page_count_;
     chain_pages_.push_back(id);
   }
   return id;
@@ -213,7 +257,6 @@ StatusOr<Rid> HeapFile::Insert(Transaction* txn, std::string_view rec,
   EncodeHeapPayload(&lr.redo, rid.slot, visible_count, rec);
   OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
   guard->set_page_lsn(lr.lsn);
-  live_records_.fetch_add(1);
   return rid;
 }
 
@@ -233,7 +276,6 @@ Status HeapFile::InsertAt(Transaction* txn, Rid rid, std::string_view rec,
   EncodeHeapPayload(&lr.redo, rid.slot, visible_count, rec);
   OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
   guard->set_page_lsn(lr.lsn);
-  live_records_.fetch_add(1);
   return Status::OK();
 }
 
@@ -259,7 +301,6 @@ Status HeapFile::Delete(Transaction* txn, Rid rid,
   lr.undo = old_copy;
   OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
   guard->set_page_lsn(lr.lsn);
-  live_records_.fetch_sub(1);
   if (old_rec != nullptr) *old_rec = std::move(old_copy);
   {
     sync::MutexLock g(&hints_mu_);
@@ -356,7 +397,7 @@ Status HeapFile::ForEach(
 
 size_t HeapFile::page_count() const {
   sync::MutexLock g(&hints_mu_);
-  return page_count_;
+  return chain_pages_.size();
 }
 
 // ------------------------------ HeapRm ------------------------------

@@ -32,15 +32,19 @@ class Transaction {
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }
 
-  Lsn last_lsn() const { return last_lsn_; }
-  void set_last_lsn(Lsn lsn) { last_lsn_ = lsn; }
+  // Written only by the transaction's own thread; Engine::Checkpoint
+  // reads it from another thread for the active-transaction table.
+  Lsn last_lsn() const { return last_lsn_.load(std::memory_order_relaxed); }
+  void set_last_lsn(Lsn lsn) {
+    last_lsn_.store(lsn, std::memory_order_relaxed);
+  }
 
   bool in_rollback() const { return state_ == TxnState::kRollingBack; }
 
  private:
   TxnId id_;
   TxnState state_ = TxnState::kActive;
-  Lsn last_lsn_ = kInvalidLsn;
+  std::atomic<Lsn> last_lsn_{kInvalidLsn};
 };
 
 }  // namespace oib

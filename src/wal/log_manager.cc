@@ -1,8 +1,10 @@
 #include "wal/log_manager.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -63,7 +65,7 @@ Status LogManager::ConfigureRing(size_t ring_bytes) {
   }
   sync::MutexLock fl(&flush_mu_);
   sync::MutexLock dg(&drain_mu_);
-  // Empty the old ring into the backing store first (does not flush:
+  // Empty the old ring into the segments first (does not flush:
   // drained bytes stay volatile until Flush moves the boundary).  Callers
   // guarantee no concurrent appenders, so every reservation is sealed and
   // this terminates.
@@ -88,37 +90,40 @@ Status LogManager::AttachFile(const std::string& path) {
     return Status::IoError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  std::string contents;
-  Status s = ReadFileToString(path, &contents);
+  // Load the file one segment at a time straight into the segment list,
+  // then validate frame by frame; the first incomplete or CRC-mismatched
+  // frame (a write torn by the last crash) ends the trustworthy prefix.
+  struct stat st;
+  Status s = ::fstat(fd, &st) == 0
+                 ? Status::OK()
+                 : Status::IoError("fstat " + path + ": " +
+                                   std::strerror(errno));
+  const uint64_t size = s.ok() ? uint64_t(st.st_size) : 0;
+  for (uint64_t off = 0; s.ok() && off < size; off += kSegmentBytes) {
+    segments_.emplace_back(new char[kSegmentBytes]);
+    s = PreadFull(fd, segments_.back().get(),
+                  size_t(std::min<uint64_t>(kSegmentBytes, size - off)), off);
+  }
+  uint64_t pos = 0;
+  if (s.ok()) {
+    SegmentView view = ViewLocked(0, size);
+    std::string scratch;
+    std::string_view payload;
+    while (FramePayload(view, pos, &scratch, &payload).ok()) {
+      pos += kFrameHeader + payload.size();
+    }
+    if (pos < size && ::ftruncate(fd, off_t(pos)) != 0) {
+      s = Status::IoError(std::string("ftruncate: ") + std::strerror(errno));
+    }
+  }
   if (!s.ok()) {
     ::close(fd);
+    segments_.clear();
     return s;
   }
-  // Validate frame by frame; the first incomplete or CRC-mismatched frame
-  // (a write torn by the last crash) ends the trustworthy prefix.
-  size_t pos = 0;
-  while (pos + kFrameHeader <= contents.size()) {
-    uint32_t len = DecodeFixed32(contents.data() + pos);
-    if (pos + kFrameHeader + len > contents.size()) break;
-    uint32_t crc = DecodeFixed32(contents.data() + pos + 4);
-    if (crc32c::Unmask(crc) !=
-        crc32c::Value(contents.data() + pos + kFrameHeader, len)) {
-      break;
-    }
-    pos += kFrameHeader + len;
-  }
-  if (pos < contents.size()) {
-    if (::ftruncate(fd, off_t(pos)) != 0) {
-      int saved = errno;
-      ::close(fd);
-      return Status::IoError(std::string("ftruncate: ") +
-                             std::strerror(saved));
-    }
-    contents.resize(pos);
-  }
+  TruncateSegmentsLocked(pos);
   wal_fd_ = fd;
   wal_path_ = path;
-  backing_ = std::move(contents);
   drained_.store(pos, std::memory_order_relaxed);
   flushed_.store(pos, std::memory_order_relaxed);
   reserved_.store(pos, std::memory_order_release);
@@ -127,6 +132,19 @@ Status LogManager::AttachFile(const std::string& path) {
 
 Status LogManager::WriteFileSinkLocked(uint64_t flushed, uint64_t target) {
   if (wal_fd_ < 0 || target <= flushed) return Status::OK();
+  const SegmentView view = ViewLocked(flushed, target);
+  // Writes log bytes [from, to) at the same file offsets, one segment-sized
+  // piece at a time.
+  auto write_range = [this, &view](uint64_t from, uint64_t to) -> Status {
+    for (uint64_t off = from; off < to;) {
+      size_t n = size_t(std::min<uint64_t>(
+          to - off, kSegmentBytes - off % kSegmentBytes));
+      OIB_RETURN_IF_ERROR(
+          PwriteFull(wal_fd_, view.Bytes(off, n, nullptr).data(), n, off));
+      off += n;
+    }
+    return Status::OK();
+  };
   Status s;
   for (int attempt = 1; attempt <= kMaxFileAttempts; ++attempt) {
     if (attempt > 1) {
@@ -136,7 +154,6 @@ Status LogManager::WriteFileSinkLocked(uint64_t flushed, uint64_t target) {
     s = [&]() -> Status {
       FailPointHit hit;
       OIB_FAIL_POINT_HIT("wal.flush", hit);
-      const char* data = backing_.data() + flushed;
       size_t n = size_t(target - flushed);
       if (hit.action == FailPointAction::kReturnError) {
         return Status::Injected("wal.flush");
@@ -146,12 +163,13 @@ Status LogManager::WriteFileSinkLocked(uint64_t flushed, uint64_t target) {
         // next flush leader) rewrites the same range in place and the
         // attach-time scan truncates it if the process dies first.
         size_t k = n > 0 ? std::min(size_t(hit.arg), n - 1) : 0;
-        OIB_RETURN_IF_ERROR(PwriteFull(wal_fd_, data, k, flushed));
+        OIB_RETURN_IF_ERROR(write_range(flushed, flushed + k));
         return Status::Injected("wal.flush: short write");
       }
       if (hit.action == FailPointAction::kTornWrite) {
         // Crash mid-flush: a scrambled tail lands and the process dies.
-        std::string torn(data, n);
+        std::string scratch;
+        std::string torn(view.Bytes(flushed, n, &scratch));
         for (size_t i = std::min(size_t(hit.arg), n > 0 ? n - 1 : 0);
              i < torn.size(); ++i) {
           torn[i] = char(torn[i] ^ 0xa5);
@@ -159,7 +177,7 @@ Status LogManager::WriteFileSinkLocked(uint64_t flushed, uint64_t target) {
         (void)PwriteFull(wal_fd_, torn.data(), torn.size(), flushed);
         FailPointHardAbort("wal.flush");
       }
-      OIB_RETURN_IF_ERROR(PwriteFull(wal_fd_, data, n, flushed));
+      OIB_RETURN_IF_ERROR(write_range(flushed, target));
       OIB_FAIL_POINT("wal.fsync");
       if (::fdatasync(wal_fd_) != 0) {
         return Status::IoError(std::string("fdatasync: ") +
@@ -171,6 +189,76 @@ Status LogManager::WriteFileSinkLocked(uint64_t flushed, uint64_t target) {
     if (!s.IsInjected() && !s.IsIoError()) break;
   }
   return s;
+}
+
+std::string_view LogManager::SegmentView::Bytes(uint64_t off, size_t n,
+                                                std::string* scratch) const {
+  uint64_t seg = off / kSegmentBytes;
+  size_t in = size_t(off % kSegmentBytes);
+  const char* base = segs[size_t(seg - first_seg)];
+  if (in + n <= kSegmentBytes) return std::string_view(base + in, n);
+  // Straddles a segment boundary: assemble the pieces.
+  scratch->resize(n);
+  for (size_t done = 0;;) {
+    size_t piece = std::min(n - done, kSegmentBytes - in);
+    std::memcpy(scratch->data() + done, base + in, piece);
+    done += piece;
+    if (done == n) break;
+    in = 0;
+    base = segs[size_t(++seg - first_seg)];
+  }
+  return *scratch;
+}
+
+Status LogManager::FramePayload(const SegmentView& view, uint64_t off,
+                                std::string* scratch,
+                                std::string_view* payload) {
+  if (off + kFrameHeader > view.limit) {
+    return Status::Corruption("lsn beyond log end");
+  }
+  char hdr[kFrameHeader];
+  std::memcpy(hdr, view.Bytes(off, kFrameHeader, scratch).data(),
+              kFrameHeader);
+  uint32_t len = DecodeFixed32(hdr);
+  if (off + kFrameHeader + len > view.limit) {
+    return Status::Corruption("truncated record");
+  }
+  *payload = view.Bytes(off + kFrameHeader, len, scratch);
+  if (crc32c::Unmask(DecodeFixed32(hdr + 4)) !=
+      crc32c::Value(payload->data(), payload->size())) {
+    return Status::Corruption("frame checksum mismatch at lsn " +
+                              std::to_string(off + 1));
+  }
+  return Status::OK();
+}
+
+LogManager::SegmentView LogManager::ViewLocked(uint64_t start,
+                                               uint64_t limit) const {
+  SegmentView view;
+  view.limit = limit;
+  view.first_seg = start / kSegmentBytes;
+  uint64_t end_seg = (limit + kSegmentBytes - 1) / kSegmentBytes;
+  for (uint64_t i = view.first_seg; i < end_seg; ++i) {
+    view.segs.push_back(segments_[size_t(i)].get());
+  }
+  return view;
+}
+
+void LogManager::StoreLocked(uint64_t off, const char* data, size_t n) {
+  while (n > 0) {
+    size_t seg = size_t(off / kSegmentBytes);
+    size_t in = size_t(off % kSegmentBytes);
+    if (seg == segments_.size()) segments_.emplace_back(new char[kSegmentBytes]);
+    size_t piece = std::min(n, kSegmentBytes - in);
+    std::memcpy(segments_[seg].get() + in, data, piece);
+    off += piece;
+    data += piece;
+    n -= piece;
+  }
+}
+
+void LogManager::TruncateSegmentsLocked(uint64_t end) {
+  segments_.resize(size_t((end + kSegmentBytes - 1) / kSegmentBytes));
 }
 
 void LogManager::RingWrite(uint64_t off, const char* data, size_t n) {
@@ -198,7 +286,7 @@ Status LogManager::Append(LogRecord* rec) {
   rec->lsn = start + 1;
 
   // 2. Backpressure: the ring positions for [start, end) must not alias
-  // bytes that have not been drained into the backing store yet.  Help
+  // bytes that have not been drained into the segments yet.  Help
   // drain rather than merely spin — with no flusher active, the ring
   // would never empty on its own.
   while (end > drained_.load(std::memory_order_acquire) + ring_.size()) {
@@ -278,8 +366,8 @@ void LogManager::ConsumeSealedLocked() {
     size_t pos = static_cast<size_t>(start) & ring_mask_;
     size_t n = static_cast<size_t>(end - start);
     size_t first = n < ring_.size() - pos ? n : ring_.size() - pos;
-    backing_.append(ring_.data() + pos, first);
-    if (n > first) backing_.append(ring_.data(), n - first);
+    StoreLocked(start, ring_.data() + pos, first);
+    if (n > first) StoreLocked(start + first, ring_.data(), n - first);
     d = end;
     advanced = true;
   }
@@ -296,26 +384,6 @@ void LogManager::DrainUntilLocked(uint64_t target_bytes) {
     // never takes drain_mu_).  Yield until the seal lands.
     std::this_thread::yield();
   }
-}
-
-Status LogManager::ParseRecordAt(uint64_t off, LogRecord* rec) const {
-  if (off + kFrameHeader > backing_.size()) {
-    return Status::Corruption("lsn beyond log end");
-  }
-  uint32_t len = DecodeFixed32(backing_.data() + off);
-  if (off + kFrameHeader + len > backing_.size()) {
-    return Status::Corruption("truncated record");
-  }
-  uint32_t crc = DecodeFixed32(backing_.data() + off + 4);
-  if (crc32c::Unmask(crc) !=
-      crc32c::Value(backing_.data() + off + kFrameHeader, len)) {
-    return Status::Corruption("frame checksum mismatch at lsn " +
-                              std::to_string(off + 1));
-  }
-  Status s = LogRecord::DeserializeFrom(
-      std::string_view(backing_.data() + off + kFrameHeader, len), rec);
-  if (s.ok()) rec->lsn = off + 1;
-  return s;
 }
 
 Status LogManager::Flush(Lsn lsn) {
@@ -372,42 +440,47 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec) {
   // The caller's record was fully appended (sealed), so draining up to it
   // terminates; this only buffers volatile bytes, it does not flush.
   DrainUntilLocked(off + 1);
-  return ParseRecordAt(off, rec);
+  SegmentView view = ViewLocked(off, drained_.load(std::memory_order_relaxed));
+  std::string scratch;
+  std::string_view payload;
+  OIB_RETURN_IF_ERROR(FramePayload(view, off, &scratch, &payload));
+  OIB_RETURN_IF_ERROR(LogRecord::DeserializeFrom(payload, rec));
+  rec->lsn = lsn;
+  return Status::OK();
 }
 
 Status LogManager::ScanDurable(
     Lsn start_lsn, const std::function<bool(const LogRecord&)>& fn) {
-  // Snapshot the durable prefix and run the callback with no log lock
-  // held: redo callbacks latch pages, while the forward path appends to
-  // the log under page latches — calling out with a log mutex held would
-  // invert that page-latch -> log-lock order.  Records flushed after the
-  // call are not seen, which is the contract ("durable as of the call").
-  std::string snapshot;
+  // Take the segment pointers covering [start, flushed) and run the
+  // callback with no log lock held: redo callbacks latch pages, while the
+  // forward path appends to the log under page latches — calling out with
+  // a log mutex held would invert that page-latch -> log-lock order.
+  // Durable bytes never change and their segments are only freed by
+  // DropUnflushed / the destructor, so parsing them unlocked is safe.
+  // Records flushed after the call are not seen, which is the contract
+  // ("durable as of the call").
+  uint64_t pos = (start_lsn == kInvalidLsn) ? 0 : start_lsn - 1;
   uint64_t limit = flushed_.load(std::memory_order_acquire);
+  if (pos >= limit) return Status::OK();
+  SegmentView view;
   {
     sync::MutexLock g(&drain_mu_);
-    snapshot = backing_.substr(0, limit);
+    view = ViewLocked(pos, limit);
   }
-  size_t pos = (start_lsn == kInvalidLsn) ? 0 : start_lsn - 1;
-  while (pos + kFrameHeader <= snapshot.size()) {
-    uint32_t len = DecodeFixed32(snapshot.data() + pos);
-    if (pos + kFrameHeader + len > snapshot.size()) break;  // torn tail
-    // A tear *inside* the frame body (a crash mid-write left the length
-    // intact but garbled the payload) must truncate the tail too, not
-    // feed garbage to redo.  Nothing after a torn frame is trustworthy:
-    // frames are written in order, so a valid-looking successor of a torn
-    // frame can only be leftover bytes from an earlier life of the file.
-    uint32_t crc = DecodeFixed32(snapshot.data() + pos + 4);
-    if (crc32c::Unmask(crc) !=
-        crc32c::Value(snapshot.data() + pos + kFrameHeader, len)) {
-      break;  // torn tail
-    }
+  std::string scratch;
+  std::string_view payload;
+  // A short or CRC-mismatched frame ends the scan as a torn tail: a tear
+  // *inside* the frame body (a crash mid-write left the length intact but
+  // garbled the payload) must truncate the tail too, not feed garbage to
+  // redo.  Nothing after a torn frame is trustworthy: frames are written
+  // in order, so a valid-looking successor of a torn frame can only be
+  // leftover bytes from an earlier life of the file.
+  while (FramePayload(view, pos, &scratch, &payload).ok()) {
     LogRecord rec;
-    OIB_RETURN_IF_ERROR(LogRecord::DeserializeFrom(
-        std::string_view(snapshot.data() + pos + kFrameHeader, len), &rec));
+    OIB_RETURN_IF_ERROR(LogRecord::DeserializeFrom(payload, &rec));
     rec.lsn = pos + 1;
     if (!fn(rec)) break;
-    pos += kFrameHeader + len;
+    pos += kFrameHeader + payload.size();
   }
   return Status::OK();
 }
@@ -415,14 +488,14 @@ Status LogManager::ScanDurable(
 void LogManager::DropUnflushed() {
   // Crash simulation; the caller has quiesced appenders.  Everything past
   // the durable boundary is discarded: the drained-but-unflushed suffix of
-  // the backing store, all sealed-but-undrained ring contents, and the
+  // the segments, all sealed-but-undrained ring contents, and the
   // reservation counter itself rewinds to the boundary — so the volatile
   // tail vanishes exactly as if the process had died, leaving a
   // prefix-exact durable log.
   sync::MutexLock fl(&flush_mu_);
   sync::MutexLock dg(&drain_mu_);
   uint64_t flushed = flushed_.load(std::memory_order_relaxed);
-  backing_.resize(flushed);
+  TruncateSegmentsLocked(flushed);
   drained_.store(flushed, std::memory_order_relaxed);
   reserved_.store(flushed, std::memory_order_relaxed);
   seal_seq_.store(0, std::memory_order_relaxed);

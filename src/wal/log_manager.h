@@ -22,7 +22,11 @@
 //    outside any lock, and publishes via a per-slot seal (release store);
 //  * a *drain* (run by Flush, or opportunistically by an appender that
 //    finds the ring full) consumes sealed records in reservation order and
-//    moves their bytes into the contiguous backing store;
+//    appends their bytes to the tail of a list of fixed-size segments
+//    (kSegmentBytes).  Drained bytes never move afterwards: the log grows
+//    by adding a segment, never by reallocating, so it has no growth
+//    stalls, and readers parse frames in place — only a frame that
+//    straddles two segments is assembled into a buffer;
 //  * Flush(lsn) is group commit: one leader drains far enough to cover
 //    `lsn` and then publishes the durable boundary for every record sealed
 //    so far, so concurrent committers arriving behind it find their target
@@ -30,6 +34,11 @@
 // Records become durable only when Flush advances `flushed_`; bytes that
 // were drained but not flushed are still volatile and are discarded by
 // DropUnflushed, which therefore still yields a prefix-exact durable log.
+//
+// ScanDurable copies nothing but the segment pointers covering the
+// requested suffix (under drain_mu_) and parses with the lock released:
+// durable bytes never change, and only DropUnflushed and the destructor
+// free segments, neither of which runs concurrently with a scan.
 //
 // Statistics (records/bytes appended, per-RM breakdown) feed the E4
 // logging-overhead experiment.
@@ -40,8 +49,10 @@
 #include <array>
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -64,6 +75,8 @@ struct LogStats {
 class LogManager {
  public:
   static constexpr size_t kDefaultRingBytes = 1 << 20;
+  // Drained log bytes live in segments of this size (see file comment).
+  static constexpr size_t kSegmentBytes = 1 << 20;
 
   explicit LogManager(size_t ring_bytes = kDefaultRingBytes);
   ~LogManager();
@@ -104,6 +117,8 @@ class LogManager {
 
   // Sequential scan of the *durable* log from `start_lsn` (or from the
   // beginning).  Calls fn for each record; stops early if fn returns false.
+  // Reads only the segments covering [start_lsn, flushed): the cost is
+  // proportional to the scanned suffix, not to the whole log.
   Status ScanDurable(Lsn start_lsn,
                      const std::function<bool(const LogRecord&)>& fn);
 
@@ -160,8 +175,31 @@ class LogManager {
     uint64_t end = 0;
   };
 
+  // Read-only view of log bytes [first_seg * kSegmentBytes, limit) held
+  // in segments; valid without drain_mu_ for durable bytes.
+  struct SegmentView {
+    std::vector<const char*> segs;
+    uint64_t first_seg = 0;
+    uint64_t limit = 0;
+    // Bytes [off, off + n), in place when they sit in one segment, else
+    // assembled into *scratch.  Caller checks off + n <= limit.
+    std::string_view Bytes(uint64_t off, size_t n, std::string* scratch) const;
+  };
+  // Validates the frame at `off` (length within the view, payload CRC)
+  // and returns its payload; Corruption on a truncated or torn frame.
+  static Status FramePayload(const SegmentView& view, uint64_t off,
+                             std::string* scratch, std::string_view* payload);
+  SegmentView ViewLocked(uint64_t start, uint64_t limit) const
+      OIB_REQUIRES(drain_mu_);
+  // Copies [off, off + n) into the segments, adding segments as needed.
+  void StoreLocked(uint64_t off, const char* data, size_t n)
+      OIB_REQUIRES(drain_mu_);
+  // Frees every segment that holds no byte below `end`.
+  void TruncateSegmentsLocked(uint64_t end) OIB_REQUIRES(drain_mu_);
+
   void RingWrite(uint64_t off, const char* data, size_t n);
-  // Appends backing_[flushed_, target) to the log file and fsyncs.
+  // Appends log bytes [flushed, target) to the log file, one segment at a
+  // time, and fsyncs.
   // Bounded retry on transient (failpoint-injected) errors; on failure
   // the durable boundary must not advance.
   Status WriteFileSinkLocked(uint64_t flushed, uint64_t target)
@@ -172,13 +210,11 @@ class LogManager {
   void ConsumeSealedLocked() OIB_REQUIRES(drain_mu_);
   // Drains until drained_ >= target.
   void DrainUntilLocked(uint64_t target_bytes) OIB_REQUIRES(drain_mu_);
-  Status ParseRecordAt(uint64_t off, LogRecord* rec) const
-      OIB_REQUIRES(drain_mu_);
 
   // --- hot, lock-free appender state ---
   std::atomic<uint64_t> reserved_{0};  // log bytes reserved (next_lsn - 1)
   std::atomic<uint64_t> seal_seq_{0};  // seal tickets issued
-  std::atomic<uint64_t> drained_{0};   // bytes moved ring -> backing_
+  std::atomic<uint64_t> drained_{0};   // bytes moved ring -> segments_
   std::atomic<uint64_t> flushed_{0};   // durable boundary (bytes)
   std::vector<char> ring_;
   size_t ring_mask_ = 0;
@@ -197,8 +233,10 @@ class LogManager {
                       std::vector<std::pair<uint64_t, uint64_t>>,
                       std::greater<>>
       pending_ OIB_GUARDED_BY(drain_mu_);
-  // Drained bytes [0, drained_); durable [0, flushed_).
-  std::string backing_ OIB_GUARDED_BY(drain_mu_);
+  // Drained bytes [0, drained_) (durable [0, flushed_)); byte `off` is at
+  // segments_[off / kSegmentBytes][off % kSegmentBytes].  Segments are
+  // never moved or resized, so pointers handed to ScanDurable stay valid.
+  std::vector<std::unique_ptr<char[]>> segments_ OIB_GUARDED_BY(drain_mu_);
   // File sink (AttachFile); -1 = in-memory only.  The file always holds
   // exactly the bytes [0, flushed_) plus possibly a torn tail from a
   // failed flush attempt, which the next attempt overwrites in place.

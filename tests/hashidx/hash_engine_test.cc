@@ -259,25 +259,34 @@ TEST_F(HashEngineTest, EquivalenceHashOnOffDeterministicWorkload) {
 TEST_F(HashEngineTest, PseudoDeleteGcPurgesBothStructures) {
   TableId table = MakeTable();
   auto rids = Populate(table, 1000);
-  WorkloadOptions wo;
-  wo.threads = 2;
-  wo.insert_pct = 0.1;
-  wo.delete_pct = 0.6;
-  wo.update_pct = 0.2;
-  Workload workload(engine_.get(), table, wo);
-  workload.Seed(rids, 1000);
-  workload.Start();
+  options_.ib_checkpoint_every_keys = 200;
+  ReopenWithOptions();
+  // Stop the NSF build part-way through its inserts, commit deletes while
+  // it is stopped, then resume it: the deletes land during the build by
+  // construction, not by winning a race against it.  Rows below the IB
+  // checkpoint are pseudo-deleted in place; rows above it leave the
+  // deleter's pseudo-deleted entries for the resumed build to skip.
+  FailPointRegistry::Instance().Arm("nsf.insert_batch", 10);
   NsfIndexBuilder builder(engine_.get());
   IndexId index;
   Status s = builder.Build(Params(table), &index);
-  workload.Stop();
-  ASSERT_OK(s);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+  CrashAndRestart();
+  Transaction* txn = engine_->Begin();
+  for (size_t i = 0; i < rids.size(); i += 4) {
+    ASSERT_OK(engine_->records()->DeleteRecord(txn, table, rids[i]));
+  }
+  ASSERT_OK(engine_->Commit(txn));
+  NsfIndexBuilder resumed(engine_.get());
+  ASSERT_OK(resumed.Resume(table, &index));
   ExpectHashMatchesTree(index);
 
   BTree* tree = engine_->catalog()->index(index);
   TreeVerifier tv(tree, engine_->pool());
   ASSERT_OK_AND_ASSIGN(auto before, tv.Clustering());
-  ASSERT_GT(before.pseudo_deleted, 0u);
+  // One pseudo-deleted entry per deleted row, whichever side of the IB
+  // checkpoint it fell on.
+  ASSERT_EQ(before.pseudo_deleted, (rids.size() + 3) / 4);
   PseudoDeleteGC gc(engine_.get());
   GcStats gc_stats;
   ASSERT_OK(gc.Run(index, &gc_stats));

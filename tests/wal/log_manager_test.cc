@@ -390,6 +390,156 @@ TEST(LogManagerStressTest, ProgressReadsNeverGoBackwards) {
 
 // --- file sink (AttachFile) ---
 
+// ---------------------------------------------------------------------
+// Segmented log storage: frames that straddle kSegmentBytes boundaries,
+// suffix scans, and crash truncation in the middle of a segment.
+
+constexpr uint64_t kSeg = LogManager::kSegmentBytes;
+constexpr uint64_t kFrameHeaderBytes = 8;  // [len:u32][crc32c:u32]
+
+// Bytes the framed record MakeRec(.., redo of `n` bytes) occupies.
+uint64_t FrameBytes(size_t n) {
+  std::string buf;
+  MakeRec(1, LogRecordType::kUpdate, std::string(n, 'x')).SerializeTo(&buf);
+  return kFrameHeaderBytes + buf.size();
+}
+
+// A body that identifies record `i` in every byte, so a mis-assembled
+// straddling frame cannot compare equal by accident.
+std::string Body(size_t i, size_t n) {
+  std::string b(n, '\0');
+  for (size_t k = 0; k < n; ++k) b[k] = char('a' + (i * 7 + k) % 26);
+  return b;
+}
+
+bool Straddles(Lsn lsn, Lsn next) {
+  return (lsn - 1) / kSeg != (next - 2) / kSeg;
+}
+
+// Appends records until the log holds more than `min_bytes`, sized so the
+// frames meet segment boundaries in every way: segment s's boundary is
+// met by a frame that ends exactly on it (s % 3 == 0), one whose 8-byte
+// header it splits (s % 3 == 1), or one whose payload it splits
+// (s % 3 == 2).  Returns (lsn, body) per record.
+std::vector<std::pair<Lsn, std::string>> AppendAcrossSegments(
+    LogManager* log, uint64_t min_bytes) {
+  std::vector<std::pair<Lsn, std::string>> out;
+  const uint64_t overhead = FrameBytes(0);
+  for (size_t i = 0; log->next_lsn() - 1 < min_bytes; ++i) {
+    uint64_t off = log->next_lsn() - 1;
+    uint64_t room = kSeg - off % kSeg;
+    size_t n = 90000 + (i * 131) % 5000;
+    if (room < 200000 && room > overhead + 8) {
+      switch (off / kSeg % 3) {
+        case 0: n = size_t(room - overhead); break;
+        case 1: n = size_t(room - overhead - 3); break;
+        default: n = size_t(room - overhead + 5000); break;
+      }
+    }
+    EXPECT_EQ(FrameBytes(n), overhead + n);  // sizes stay exact
+    LogRecord rec = MakeRec(1, LogRecordType::kUpdate, Body(i, n));
+    EXPECT_TRUE(log->Append(&rec).ok());
+    out.emplace_back(rec.lsn, rec.redo);
+  }
+  return out;
+}
+
+TEST(LogSegmentTest, StraddlingFramesReadBackThroughReadAndScan) {
+  LogManager log;
+  auto recs = AppendAcrossSegments(&log, 5 * kSeg + kSeg / 2);
+  ASSERT_TRUE(log.FlushAll().ok());
+  size_t straddling = 0, split_headers = 0;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    Lsn next = i + 1 < recs.size() ? recs[i + 1].first : log.next_lsn();
+    if (Straddles(recs[i].first, next)) ++straddling;
+    uint64_t in = (recs[i].first - 1) % kSeg;
+    if (in + kFrameHeaderBytes > kSeg) ++split_headers;
+  }
+  EXPECT_GE(straddling, 3u);
+  EXPECT_GE(split_headers, 1u);
+  // Random access, including the volatile-free durable region.
+  for (const auto& [lsn, body] : recs) {
+    LogRecord out;
+    ASSERT_TRUE(log.ReadRecord(lsn, &out).ok()) << lsn;
+    EXPECT_EQ(out.lsn, lsn);
+    EXPECT_EQ(out.redo, body) << "lsn " << lsn;
+  }
+  size_t k = 0;
+  ASSERT_TRUE(log.ScanDurable(kInvalidLsn, [&](const LogRecord& rec) {
+    EXPECT_LT(k, recs.size());
+    if (k < recs.size()) {
+      EXPECT_EQ(rec.lsn, recs[k].first);
+      EXPECT_EQ(rec.redo, recs[k].second);
+    }
+    ++k;
+    return true;
+  }).ok());
+  EXPECT_EQ(k, recs.size());
+}
+
+TEST(LogSegmentTest, ScanFromMidLogYieldsExactlyTheSuffix) {
+  LogManager log;
+  auto recs = AppendAcrossSegments(&log, 3 * kSeg);
+  ASSERT_TRUE(log.FlushAll().ok());
+  // Start inside the third segment, at a record boundary.
+  size_t from = 0;
+  while (recs[from].first - 1 < 2 * kSeg + 1000) ++from;
+  size_t k = from;
+  ASSERT_TRUE(log.ScanDurable(recs[from].first, [&](const LogRecord& rec) {
+    EXPECT_LT(k, recs.size());
+    if (k < recs.size()) {
+      EXPECT_EQ(rec.lsn, recs[k].first);
+      EXPECT_EQ(rec.redo, recs[k].second);
+    }
+    ++k;
+    return true;
+  }).ok());
+  EXPECT_EQ(k, recs.size());
+  // A start at the durable end yields nothing.
+  bool called = false;
+  ASSERT_TRUE(log.ScanDurable(log.flushed_lsn(), [&](const LogRecord&) {
+    called = true;
+    return true;
+  }).ok());
+  EXPECT_FALSE(called);
+}
+
+TEST(LogSegmentTest, DropUnflushedMidSegmentThenAppendMore) {
+  LogManager log;
+  auto durable = AppendAcrossSegments(&log, kSeg + kSeg / 2);
+  ASSERT_TRUE(log.FlushAll().ok());
+  const Lsn boundary = log.flushed_lsn();
+  ASSERT_NE((boundary - 1) % kSeg, 0u);  // the cut is inside a segment
+  // A volatile tail reaching two segments further, then the crash.
+  for (int i = 0; i < 40; ++i) {
+    LogRecord rec = MakeRec(2, LogRecordType::kUpdate, Body(1000 + i, 60000));
+    ASSERT_TRUE(log.Append(&rec).ok());
+  }
+  log.DropUnflushed();
+  EXPECT_EQ(log.flushed_lsn(), boundary);
+  EXPECT_EQ(log.next_lsn(), boundary);
+  // New records reuse the dropped range and cross segment boundaries.
+  std::vector<std::pair<Lsn, std::string>> after;
+  for (int i = 0; i < 40; ++i) {
+    LogRecord rec = MakeRec(3, LogRecordType::kUpdate, Body(2000 + i, 70001));
+    ASSERT_TRUE(log.Append(&rec).ok());
+    after.emplace_back(rec.lsn, rec.redo);
+  }
+  EXPECT_EQ(after.front().first, boundary);
+  ASSERT_TRUE(log.FlushAll().ok());
+  std::vector<std::pair<Lsn, std::string>> all = durable;
+  all.insert(all.end(), after.begin(), after.end());
+  std::vector<std::pair<Lsn, std::string>> scanned;
+  ASSERT_TRUE(log.ScanDurable(kInvalidLsn, [&](const LogRecord& rec) {
+    scanned.emplace_back(rec.lsn, rec.redo);
+    return true;
+  }).ok());
+  EXPECT_EQ(scanned, all);
+  LogRecord out;
+  ASSERT_TRUE(log.ReadRecord(after[20].first, &out).ok());
+  EXPECT_EQ(out.redo, after[20].second);
+}
+
 class LogFileSinkTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -614,6 +764,74 @@ TEST_F(LogFileSinkTest, TornFlushKillsProcessAndPrefixSurvives) {
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path_).ok());
   EXPECT_EQ(ScanBodies(&log), (std::vector<std::string>{"durable"}));
+}
+
+TEST_F(LogFileSinkTest, RoundTripOverSeveralSegments) {
+  std::vector<std::pair<Lsn, std::string>> recs;
+  Lsn flushed;
+  {
+    LogManager log;
+    ASSERT_TRUE(log.AttachFile(path_).ok());
+    // Several flushes, so the sink writes ranges that start and end
+    // inside segments as well as ranges spanning them.
+    for (int round = 0; round < 4; ++round) {
+      auto part = AppendAcrossSegments(&log, (round + 1) * kSeg - kSeg / 3);
+      recs.insert(recs.end(), part.begin(), part.end());
+      ASSERT_TRUE(log.FlushAll().ok());
+    }
+    flushed = log.flushed_lsn();
+  }
+  ASSERT_GT(flushed - 1, 3 * kSeg);
+  EXPECT_EQ(std::filesystem::file_size(path_), flushed - 1);
+  LogManager log;
+  ASSERT_TRUE(log.AttachFile(path_).ok());
+  EXPECT_EQ(log.flushed_lsn(), flushed);
+  std::vector<std::pair<Lsn, std::string>> scanned;
+  ASSERT_TRUE(log.ScanDurable(kInvalidLsn, [&](const LogRecord& rec) {
+    scanned.emplace_back(rec.lsn, rec.redo);
+    return true;
+  }).ok());
+  EXPECT_EQ(scanned, recs);
+}
+
+TEST_F(LogFileSinkTest, ByteFlippedStraddlingFrameTruncatesTail) {
+  std::vector<std::pair<Lsn, std::string>> recs;
+  Lsn victim = kInvalidLsn, victim_next = kInvalidLsn;
+  {
+    LogManager log;
+    ASSERT_TRUE(log.AttachFile(path_).ok());
+    recs = AppendAcrossSegments(&log, 3 * kSeg + kSeg / 2);
+    ASSERT_TRUE(log.FlushAll().ok());
+    // The last frame whose payload straddles a boundary, with records
+    // after it that must vanish too.
+    for (size_t i = 0; i + 2 < recs.size(); ++i) {
+      if (Straddles(recs[i].first, recs[i + 1].first) &&
+          (recs[i].first - 1) % kSeg + kFrameHeaderBytes < kSeg) {
+        victim = recs[i].first;
+        victim_next = recs[i + 1].first;
+      }
+    }
+  }
+  ASSERT_NE(victim, kInvalidLsn);
+  // Flip a payload byte just past the boundary: only the CRC of the
+  // assembled frame can catch it.
+  uint64_t boundary = ((victim - 1) / kSeg + 1) * kSeg;
+  ASSERT_LT(boundary + 5, victim_next - 1);
+  FlipByte(long(boundary + 5));
+  LogManager log;
+  ASSERT_TRUE(log.AttachFile(path_).ok());
+  EXPECT_EQ(log.flushed_lsn(), victim);
+  EXPECT_EQ(std::filesystem::file_size(path_), victim - 1);
+  std::vector<std::pair<Lsn, std::string>> scanned;
+  ASSERT_TRUE(log.ScanDurable(kInvalidLsn, [&](const LogRecord& rec) {
+    scanned.emplace_back(rec.lsn, rec.redo);
+    return true;
+  }).ok());
+  std::vector<std::pair<Lsn, std::string>> expect;
+  for (const auto& r : recs) {
+    if (r.first < victim) expect.push_back(r);
+  }
+  EXPECT_EQ(scanned, expect);
 }
 
 }  // namespace
