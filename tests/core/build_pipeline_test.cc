@@ -249,11 +249,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- parallel builds under a concurrent workload ----
 
+// gtest prints a param that has no PrintTo as its raw bytes, and ctest
+// takes that print into the test name. The padding is therefore spelled
+// out and zeroed, so the names do not change from one build to the next.
 struct WorkloadSweepParam {
   BuildAlgo algo;
+  uint8_t pad0[7] = {};
   size_t threads;
   bool unique;
+  uint8_t pad1[7] = {};
 };
+static_assert(sizeof(WorkloadSweepParam) == 24);
 
 class WorkloadThreadSweepTest
     : public BuildPipelineTest,
@@ -294,12 +300,13 @@ TEST_P(WorkloadThreadSweepTest, BuildStaysConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Mixes, WorkloadThreadSweepTest,
-    ::testing::Values(WorkloadSweepParam{BuildAlgo::kNsf, 1, false},
-                      WorkloadSweepParam{BuildAlgo::kNsf, 2, false},
-                      WorkloadSweepParam{BuildAlgo::kNsf, 8, true},
-                      WorkloadSweepParam{BuildAlgo::kSf, 1, false},
-                      WorkloadSweepParam{BuildAlgo::kSf, 2, true},
-                      WorkloadSweepParam{BuildAlgo::kSf, 8, false}),
+    ::testing::Values(
+        WorkloadSweepParam{.algo = BuildAlgo::kNsf, .threads = 1, .unique = false},
+        WorkloadSweepParam{.algo = BuildAlgo::kNsf, .threads = 2, .unique = false},
+        WorkloadSweepParam{.algo = BuildAlgo::kNsf, .threads = 8, .unique = true},
+        WorkloadSweepParam{.algo = BuildAlgo::kSf, .threads = 1, .unique = false},
+        WorkloadSweepParam{.algo = BuildAlgo::kSf, .threads = 2, .unique = true},
+        WorkloadSweepParam{.algo = BuildAlgo::kSf, .threads = 8, .unique = false}),
     [](const auto& info) {
       const WorkloadSweepParam& p = info.param;
       return std::string(p.algo == BuildAlgo::kNsf ? "nsf" : "sf") + "_t" +
