@@ -321,6 +321,11 @@ Status BTree::GrowRoot(std::vector<WritePageGuard>* path) {
   PageId new_root_id;
   auto new_root = pool_->NewPage(&new_root_id);
   if (!new_root.ok()) return new_root.status();
+  // Both pages the record changes are latched before it is logged, as for
+  // every logged change: a checkpoint's pool flush must not write the
+  // anchor between the record and its change.
+  auto anchor_guard = pool_->FetchWrite(anchor_);
+  if (!anchor_guard.ok()) return anchor_guard.status();
 
   LogRecord rec;
   rec.type = LogRecordType::kRedoOnly;
@@ -336,12 +341,9 @@ Status BTree::GrowRoot(std::vector<WritePageGuard>* path) {
   np.set_leftmost_child(old_root_id);
   new_root->set_page_lsn(rec.lsn);
 
-  {
-    auto anchor_guard = pool_->FetchWrite(anchor_);
-    if (!anchor_guard.ok()) return anchor_guard.status();
-    EncodeFixed32(anchor_guard->data() + kAnchorRootOff, new_root_id);
-    anchor_guard->set_page_lsn(rec.lsn);
-  }
+  EncodeFixed32(anchor_guard->data() + kAnchorRootOff, new_root_id);
+  anchor_guard->set_page_lsn(rec.lsn);
+  anchor_guard->Release();
 
   // Publish while the old root's X latch is still held (path->front()),
   // so any stale descent re-validates and retries.

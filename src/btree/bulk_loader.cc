@@ -151,6 +151,10 @@ Status BulkLoader::Finish() {
   if (new_root != tree_->root()) {
     // Publish the new root.  This is the loader's only logged action: the
     // anchor must survive restart once the build commits.
+    // The anchor is latched before the record is logged, so a
+    // checkpoint's pool flush cannot write it in between.
+    auto anchor = pool_->FetchWrite(tree_->anchor_page());
+    if (!anchor.ok()) return anchor.status();
     LogRecord rec;
     rec.type = LogRecordType::kRedoOnly;
     rec.rm_id = RmId::kBtree;
@@ -159,8 +163,6 @@ Status BulkLoader::Finish() {
     rec.aux_id = tree_->index_id();
     PutFixed32(&rec.redo, new_root);
     OIB_RETURN_IF_ERROR(tree_->txns_->AppendLog(nullptr, &rec));
-    auto anchor = pool_->FetchWrite(tree_->anchor_page());
-    if (!anchor.ok()) return anchor.status();
     EncodeFixed32(anchor->data() + kAnchorRootOff, new_root);
     anchor->set_page_lsn(rec.lsn);
     tree_->root_.store(new_root);

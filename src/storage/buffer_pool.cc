@@ -12,9 +12,7 @@ namespace oib {
 ReadPageGuard& ReadPageGuard::operator=(ReadPageGuard&& o) noexcept {
   if (this != &o) {
     Release();
-    pool_ = o.pool_;
     page_ = o.page_;
-    o.pool_ = nullptr;
     o.page_ = nullptr;
   }
   return *this;
@@ -23,19 +21,16 @@ ReadPageGuard& ReadPageGuard::operator=(ReadPageGuard&& o) noexcept {
 void ReadPageGuard::Release() {
   if (page_ != nullptr) {
     page_->UnlatchShared();
-    pool_->Unpin(page_, /*dirty=*/false);
+    page_->Unpin();
     page_ = nullptr;
-    pool_ = nullptr;
   }
 }
 
 WritePageGuard& WritePageGuard::operator=(WritePageGuard&& o) noexcept {
   if (this != &o) {
     Release();
-    pool_ = o.pool_;
     page_ = o.page_;
     dirty_ = o.dirty_;
-    o.pool_ = nullptr;
     o.page_ = nullptr;
     o.dirty_ = false;
   }
@@ -44,10 +39,19 @@ WritePageGuard& WritePageGuard::operator=(WritePageGuard&& o) noexcept {
 
 void WritePageGuard::Release() {
   if (page_ != nullptr) {
+    // The dirty bit goes up before the latch comes off: a FlushPage that
+    // takes the latch next must see this change, or a checkpoint's pool
+    // flush could skip a page whose record lies below its redo start.
+    if (dirty_) page_->set_dirty(true);
     page_->UnlatchExclusive();
-    pool_->Unpin(page_, dirty_);
+    if (dirty_) {
+      // Sits between unlatch and unpin so tests can widen that window.
+      FailPointHit hit;
+      OIB_FAIL_POINT_HIT("bufferpool.release_write", hit);
+      (void)hit;
+    }
+    page_->Unpin();
     page_ = nullptr;
-    pool_ = nullptr;
     dirty_ = false;
   }
 }
@@ -149,7 +153,7 @@ StatusOr<ReadPageGuard> BufferPool::FetchRead(PageId page_id) {
     page = *r;
   }
   page->LatchShared();
-  return ReadPageGuard(this, page);
+  return ReadPageGuard(page);
 }
 
 StatusOr<WritePageGuard> BufferPool::FetchWrite(PageId page_id) {
@@ -162,7 +166,7 @@ StatusOr<WritePageGuard> BufferPool::FetchWrite(PageId page_id) {
     page = *r;
   }
   page->LatchExclusive();
-  return WritePageGuard(this, page);
+  return WritePageGuard(page);
 }
 
 StatusOr<WritePageGuard> BufferPool::NewPage(PageId* page_id) {
@@ -190,7 +194,7 @@ StatusOr<WritePageGuard> BufferPool::BindNewPage(PageId page_id) {
     // Fresh page: contents are zeroes; no disk read needed.
   }
   page->LatchExclusive();
-  WritePageGuard guard(this, page);
+  WritePageGuard guard(page);
   guard.MarkDirty();
   return guard;
 }
@@ -277,13 +281,6 @@ Status BufferPool::EvictOne(Shard& s) {
   return Status::Busy("buffer pool shard exhausted: all pages pinned");
 }
 
-void BufferPool::Unpin(Page* page, bool dirty) {
-  // Order matters: the dirty bit must be visible before the pin count
-  // drops (Unpin is a release; the evictor's pin_count() read acquires).
-  if (dirty) page->set_dirty(true);
-  page->Unpin();
-}
-
 Status BufferPool::FlushPage(PageId page_id) {
   Shard& s = ShardFor(page_id);
   Page* page;
@@ -307,7 +304,7 @@ Status BufferPool::FlushPage(PageId page_id) {
     if (st.ok()) page->set_dirty(false);
   }
   page->UnlatchShared();
-  Unpin(page, /*dirty=*/false);
+  page->Unpin();
   return st;
 }
 

@@ -31,13 +31,11 @@
 
 namespace oib {
 
-class BufferPool;
-
 // Shared-latched, pinned view of a page.  Movable, not copyable.
 class ReadPageGuard {
  public:
   ReadPageGuard() = default;
-  ReadPageGuard(BufferPool* pool, Page* page) : pool_(pool), page_(page) {}
+  explicit ReadPageGuard(Page* page) : page_(page) {}
   ReadPageGuard(ReadPageGuard&& o) noexcept { *this = std::move(o); }
   ReadPageGuard& operator=(ReadPageGuard&& o) noexcept;
   ~ReadPageGuard() { Release(); }
@@ -54,7 +52,6 @@ class ReadPageGuard {
   void Release();
 
  private:
-  BufferPool* pool_ = nullptr;
   Page* page_ = nullptr;
 };
 
@@ -63,7 +60,7 @@ class ReadPageGuard {
 class WritePageGuard {
  public:
   WritePageGuard() = default;
-  WritePageGuard(BufferPool* pool, Page* page) : pool_(pool), page_(page) {}
+  explicit WritePageGuard(Page* page) : page_(page) {}
   WritePageGuard(WritePageGuard&& o) noexcept { *this = std::move(o); }
   WritePageGuard& operator=(WritePageGuard&& o) noexcept;
   ~WritePageGuard() { Release(); }
@@ -86,7 +83,6 @@ class WritePageGuard {
   void Release();
 
  private:
-  BufferPool* pool_ = nullptr;
   Page* page_ = nullptr;
   bool dirty_ = false;
 };
@@ -145,9 +141,6 @@ class BufferPool {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  friend class ReadPageGuard;
-  friend class WritePageGuard;
-
   // One lock domain: a slice of the frames plus the bookkeeping for the
   // pages resident in them.  alignas keeps neighbouring shards' mutexes
   // and clock hands off each other's cache lines.
@@ -173,8 +166,6 @@ class BufferPool {
   StatusOr<Page*> PinNewFrame(Shard& s, PageId page_id) OIB_REQUIRES(s.mu);
   // Frees one frame into s.free_list.
   Status EvictOne(Shard& s) OIB_REQUIRES(s.mu);
-  // Lock-free: atomic dirty bit + pin count (release; eviction acquires).
-  void Unpin(Page* page, bool dirty);
 
   DiskManager* disk_;
   std::function<Status(Lsn)> wal_flush_;

@@ -42,9 +42,9 @@ class Page {
   Lsn page_lsn() const { return DecodeFixed64(data_.get()); }
   void set_page_lsn(Lsn lsn) { EncodeFixed64(data_.get(), lsn); }
 
-  // Atomic because the writers disagree on which lock covers it: Unpin
-  // sets it under the pool mutex while FlushPage clears it under the
-  // page S latch.  Relaxed is enough — the bit only gates whether a
+  // Atomic because the eviction path reads it under a shard mutex, while
+  // a write guard sets it under the page X latch and FlushPage clears it
+  // under the page S latch.  Relaxed is enough — the bit only gates whether a
   // flush writes the frame, and the data it guards is ordered by the
   // page latch / pool mutex themselves.
   bool is_dirty() const { return dirty_.load(std::memory_order_relaxed); }

@@ -10,11 +10,14 @@ namespace {
 
 TEST(CheckpointPayloadTest, RoundTrip) {
   std::vector<std::pair<TxnId, Lsn>> active = {{3, 100}, {9, 250}};
-  std::string blob = EncodeCheckpointPayload(active);
+  std::string blob = EncodeCheckpointPayload(active, 80);
   std::vector<std::pair<TxnId, Lsn>> out;
-  ASSERT_TRUE(DecodeCheckpointPayload(blob, &out).ok());
+  Lsn redo_start = kInvalidLsn;
+  ASSERT_TRUE(DecodeCheckpointPayload(blob, &out, &redo_start).ok());
   EXPECT_EQ(out, active);
-  EXPECT_TRUE(DecodeCheckpointPayload("junk", &out).IsCorruption());
+  EXPECT_EQ(redo_start, 80u);
+  EXPECT_TRUE(
+      DecodeCheckpointPayload("junk", &out, &redo_start).IsCorruption());
 }
 
 class RecoveryTest : public EngineTest {};
