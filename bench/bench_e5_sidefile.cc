@@ -1,10 +1,11 @@
 // E5 — Side-file volume and catch-up cost (paper section 3.2.5).
 //
 // Claims: the side-file accumulates exactly the updates made behind the
-// scan; IB catches up by applying it (logged, committed in batches); "for
-// improved performance, IB could sort the entries of the side-file...
-// before applying those updates to the index".  We sweep concurrent
-// update intensity and compare sequential vs sorted application.
+// scan; IB catches up by applying it (logged, committed in batches).  We
+// sweep concurrent update intensity.  The paper's optional sorted
+// application is not implemented: sorting the residual can put
+// Insert(k, rB) before Delete(k, rA), and the unique check would then
+// lock a record whose owner waits on the drain gate (see EXPERIMENTS.md).
 
 #include "bench/bench_util.h"
 
@@ -14,10 +15,8 @@ namespace {
 
 const uint64_t kRows = BenchRows(30000);
 
-void RunOne(uint32_t update_threads, bool sorted_apply,
-            BenchReport* report) {
+void RunOne(uint32_t update_threads, BenchReport* report) {
   Options options = DefaultBenchOptions();
-  options.sf_sort_side_file = sorted_apply;
   World w = MakeWorld(kRows, options);
   WorkloadOptions wo;
   wo.threads = update_threads == 0 ? 1 : update_threads;
@@ -40,38 +39,33 @@ void RunOne(uint32_t update_threads, bool sorted_apply,
     std::abort();
   }
   MustBeConsistent(w.engine.get(), w.table, index);
-  std::printf("%8u %-6s %12llu %10.1f %10.1f %10.1f %9llu\n",
-              update_threads, sorted_apply ? "sorted" : "seq",
-              (unsigned long long)stats.side_file_applied, stats.scan_ms,
-              stats.load_ms, stats.apply_ms,
+  std::printf("%8u %12llu %10.1f %10.1f %10.1f %9.2f %9llu\n",
+              update_threads, (unsigned long long)stats.side_file_applied,
+              stats.scan_ms, stats.load_ms, stats.apply_ms, stats.quiesce_ms,
               (unsigned long long)stats.commits);
   report->AddRow(
-      std::string(sorted_apply ? "sorted" : "seq") + "/threads=" +
-          std::to_string(update_threads),
+      "threads=" + std::to_string(update_threads),
       {{"update_threads", static_cast<double>(update_threads)},
        {"side_file_applied", static_cast<double>(stats.side_file_applied)},
        {"scan_ms", stats.scan_ms},
        {"load_ms", stats.load_ms},
        {"apply_ms", stats.apply_ms},
+       {"gate_ms", stats.quiesce_ms},
        {"commits", static_cast<double>(stats.commits)}});
 }
 
 void Run() {
   PrintHeader("E5: side-file accumulation and catch-up",
               "side-file entries grow with update intensity behind the "
-              "scan; sorted application (3.2.5) improves locality of the "
-              "catch-up inserts");
-  std::printf("%8s %-6s %12s %10s %10s %10s %9s\n", "upd_thr", "apply",
-              "sf_applied", "scan_ms", "load_ms", "apply_ms", "commits");
+              "scan and are applied in logged, committed batches");
+  std::printf("%8s %12s %10s %10s %10s %9s %9s\n", "upd_thr", "sf_applied",
+              "scan_ms", "load_ms", "apply_ms", "gate_ms", "commits");
   // NOTE: on a single core, update intensities beyond ~2 threads outpace
   // the catch-up entirely (the side-file grows faster than IB drains it
   // and the build never converges) — a starvation regime the paper does
   // not discuss; see EXPERIMENTS.md.
   BenchReport report("e5");
-  for (uint32_t threads : {0u, 1u, 2u}) {
-    RunOne(threads, /*sorted_apply=*/false, &report);
-    if (threads > 0) RunOne(threads, /*sorted_apply=*/true, &report);
-  }
+  for (uint32_t threads : {0u, 1u, 2u}) RunOne(threads, &report);
   report.Write();
 }
 

@@ -79,11 +79,10 @@ struct Options {
   size_t sort_checkpoint_every_keys = 100000;
 
   // --- SF specifics ---
-  // Side-file entries applied between IB commits during catch-up
-  // (section 3.2.5).
+  // Side-file entries IB reads, applies and commits per batch (section
+  // 3.2.5); the catch-up leaves a backlog of at most about this many to
+  // the gated drain.
   size_t sf_apply_batch = 1024;
-  // Sort the side-file before applying it (section 3.2.5 optimization).
-  bool sf_sort_side_file = false;
 
   // --- build pipeline ---
   // Scan workers for the partitioned extract+sort phase.  1 keeps the

@@ -174,8 +174,12 @@ obs::BuildProgress Engine::GetBuildProgress(TableId table) {
             : 0.0;
   }
   p.keys_done = build->keys_done.load(std::memory_order_relaxed);
-  p.side_file_appended =
-      build->side_file_appended.load(std::memory_order_relaxed);
+  // Through the catalog: a cancelled build's side-files are dropped.
+  for (const InBuildIndex& ib : build->indexes) {
+    if (SideFile* sf = catalog_.side_file(ib.id)) {
+      p.side_file_appended += sf->entries_appended();
+    }
+  }
   p.side_file_applied =
       build->side_file_applied.load(std::memory_order_relaxed);
   p.side_file_backlog = p.side_file_appended > p.side_file_applied

@@ -7,13 +7,14 @@
 //    the descriptor, lock-free latched scan, restartable sort, multi-key
 //    logged inserts into the shared tree with duplicate rejection and the
 //    specialized IB split, periodic highest-key checkpoints with commits.
-//  * SfIndexBuilder — algorithm SF (section 3): no quiesce ever; the scan
-//    position (Current-RID) drives per-transaction visibility; keys are
-//    sorted and loaded bottom-up with no logging; transactions' concurrent
-//    changes accumulate in a side-file that IB drains at the end (logged,
-//    checkpointed, committed in batches) before flipping the Index_Build
-//    flag.  BuildMany() builds several indexes in one data scan
-//    (section 6.2).
+//  * SfIndexBuilder — algorithm SF (section 3): no quiesce while IB scans,
+//    sorts and loads; the scan position (Current-RID) drives
+//    per-transaction visibility; keys are sorted and loaded bottom-up with
+//    no logging; transactions' concurrent changes accumulate in a
+//    side-file that IB drains at the end (logged, checkpointed, committed
+//    in batches).  Updaters wait only at the drain gate, while IB applies
+//    the residual and flips the Index_Build flag.  BuildMany() builds
+//    several indexes in one data scan (section 6.2).
 //
 // All builders are restartable: progress checkpoints live in disk
 // metadata (keyed by table), and Resume() continues an interrupted build
@@ -53,7 +54,7 @@ struct BuildStats {
   uint64_t checkpoints = 0;
   uint64_t commits = 0;
   double quiesce_ms = 0.0;  // time updates were blocked (NSF descriptor /
-                            // offline whole build)
+                            // offline whole build / SF drain gate)
   // Phase timings.  With the parallel BuildPipeline, stages overlap (N
   // scan workers; merge runs concurrently with load/insert), so these are
   // per-stage *busy* times: scan_ms sums every scan worker's active time,
@@ -118,8 +119,6 @@ class SfIndexBuilder {
   Status Cancel(TableId table);
 
  private:
-  Status Run(TableId table, std::vector<IndexId> ids, int start_phase,
-             std::string phase_blob, BuildStats* stats);
   Engine* engine_;
 };
 

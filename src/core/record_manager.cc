@@ -16,10 +16,69 @@ namespace {
 // DESIGN.md for the full case analysis; the paper's Figure 2 count
 // comparison is ambiguous for that case).
 
-Status ExtractKeyFor(const std::vector<uint32_t>& cols,
-                     const std::vector<KeyColumnType>& types,
-                     std::string_view record, std::string* key) {
-  return Schema::ExtractKeyTo(record, cols, types, key);
+// The index change one heap change implies: remove `del_key`, then add
+// `ins_key` (an update that keeps the key implies neither).
+struct KeyDiff {
+  bool del = false;
+  bool ins = false;
+  std::string del_key;
+  std::string ins_key;
+};
+
+// Derives the key diff of `op` from the record images.  Undo derives the
+// inverse change's diff: the inverse op with before and after swapped.
+Status DiffKeys(HeapOp op, std::string_view before, std::string_view after,
+                const std::vector<uint32_t>& cols,
+                const std::vector<KeyColumnType>& types, KeyDiff* diff) {
+  switch (op) {
+    case HeapOp::kInsert:
+      diff->ins = true;
+      break;
+    case HeapOp::kDelete:
+      diff->del = true;
+      break;
+    case HeapOp::kUpdate:
+      diff->del = diff->ins = true;
+      break;
+    default:
+      return Status::Corruption("bad maintenance op");
+  }
+  if (diff->del) {
+    OIB_RETURN_IF_ERROR(
+        Schema::ExtractKeyTo(before, cols, types, &diff->del_key));
+  }
+  if (diff->ins) {
+    OIB_RETURN_IF_ERROR(
+        Schema::ExtractKeyTo(after, cols, types, &diff->ins_key));
+  }
+  if (diff->del && diff->ins && diff->del_key == diff->ins_key) {
+    diff->del = diff->ins = false;
+  }
+  return Status::OK();
+}
+
+// The one side-file append path, forward and undo alike: appends the
+// diff's entries and counts each in records.side_file_appends.
+Status AppendSideFile(Transaction* txn, SideFile* side_file,
+                      const KeyDiff& diff, const Rid& rid,
+                      RecordManagerStats* stats) {
+  if (diff.del) {
+    OIB_RETURN_IF_ERROR(
+        side_file->Append(txn, SideFileOp::kDeleteKey, diff.del_key, rid));
+    stats->side_file_appends.fetch_add(1);
+  }
+  if (diff.ins) {
+    OIB_RETURN_IF_ERROR(
+        side_file->Append(txn, SideFileOp::kInsertKey, diff.ins_key, rid));
+    stats->side_file_appends.fetch_add(1);
+  }
+  return Status::OK();
+}
+
+HeapOp InverseOp(HeapOp op) {
+  return op == HeapOp::kInsert   ? HeapOp::kDelete
+         : op == HeapOp::kDelete ? HeapOp::kInsert
+                                 : op;
 }
 
 }  // namespace
@@ -173,24 +232,15 @@ Status RecordManager::Maintain(Transaction* txn, TableId table,
                              const std::vector<uint32_t>& cols,
                              const std::vector<KeyColumnType>& types,
                              bool nsf_build) -> Status {
-    std::string old_key, new_key;
-    switch (op) {
-      case HeapOp::kInsert:
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, new_rec, &new_key));
-        return InsertKey(txn, table, tree, unique, nsf_build, new_key, rid);
-      case HeapOp::kDelete:
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, old_rec, &old_key));
-        return DeleteKey(txn, tree, nsf_build, old_key, rid);
-      case HeapOp::kUpdate: {
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, old_rec, &old_key));
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, new_rec, &new_key));
-        if (old_key == new_key) return Status::OK();
-        OIB_RETURN_IF_ERROR(DeleteKey(txn, tree, nsf_build, old_key, rid));
-        return InsertKey(txn, table, tree, unique, nsf_build, new_key, rid);
-      }
-      default:
-        return Status::Corruption("bad maintenance op");
+    KeyDiff diff;
+    OIB_RETURN_IF_ERROR(DiffKeys(op, old_rec, new_rec, cols, types, &diff));
+    if (diff.del) {
+      OIB_RETURN_IF_ERROR(DeleteKey(txn, tree, nsf_build, diff.del_key, rid));
     }
+    if (diff.ins) {
+      return InsertKey(txn, table, tree, unique, nsf_build, diff.ins_key, rid);
+    }
+    return Status::OK();
   };
 
   for (const IndexDescriptor& d : plan.ready) {
@@ -214,44 +264,10 @@ Status RecordManager::Maintain(Transaction* txn, TableId table,
   // builder's scan has already passed this RID (Figure 1).
   if (plan.build->algo == BuildAlgo::kSf && plan.sf_visible) {
     for (const InBuildIndex& ib : plan.build->indexes) {
-      std::string old_key, new_key;
-      switch (op) {
-        case HeapOp::kInsert:
-          OIB_RETURN_IF_ERROR(
-              ExtractKeyFor(ib.key_cols, ib.key_types, new_rec, &new_key));
-          OIB_RETURN_IF_ERROR(ib.side_file->Append(
-              txn, SideFileOp::kInsertKey, new_key, rid));
-          stats_.side_file_appends.fetch_add(1);
-          plan.build->side_file_appended.fetch_add(
-              1, std::memory_order_relaxed);
-          break;
-        case HeapOp::kDelete:
-          OIB_RETURN_IF_ERROR(
-              ExtractKeyFor(ib.key_cols, ib.key_types, old_rec, &old_key));
-          OIB_RETURN_IF_ERROR(ib.side_file->Append(
-              txn, SideFileOp::kDeleteKey, old_key, rid));
-          stats_.side_file_appends.fetch_add(1);
-          plan.build->side_file_appended.fetch_add(
-              1, std::memory_order_relaxed);
-          break;
-        case HeapOp::kUpdate: {
-          OIB_RETURN_IF_ERROR(
-              ExtractKeyFor(ib.key_cols, ib.key_types, old_rec, &old_key));
-          OIB_RETURN_IF_ERROR(
-              ExtractKeyFor(ib.key_cols, ib.key_types, new_rec, &new_key));
-          if (old_key == new_key) break;
-          OIB_RETURN_IF_ERROR(ib.side_file->Append(
-              txn, SideFileOp::kDeleteKey, old_key, rid));
-          OIB_RETURN_IF_ERROR(ib.side_file->Append(
-              txn, SideFileOp::kInsertKey, new_key, rid));
-          stats_.side_file_appends.fetch_add(2);
-          plan.build->side_file_appended.fetch_add(
-              2, std::memory_order_relaxed);
-          break;
-        }
-        default:
-          return Status::Corruption("bad maintenance op");
-      }
+      KeyDiff diff;
+      OIB_RETURN_IF_ERROR(
+          DiffKeys(op, old_rec, new_rec, ib.key_cols, ib.key_types, &diff));
+      OIB_RETURN_IF_ERROR(AppendSideFile(txn, ib.side_file, diff, rid, &stats_));
     }
   }
   return Status::OK();
@@ -435,7 +451,8 @@ StatusOr<std::string> RecordManager::ReadRecordByKey(Transaction* txn,
     }
     std::string actual_key;
     OIB_RETURN_IF_ERROR(
-        ExtractKeyFor(desc->key_cols, desc->key_types, *rec, &actual_key));
+        Schema::ExtractKeyTo(*rec, desc->key_cols, desc->key_types,
+                             &actual_key));
     if (actual_key == key) return rec;
     // The record moved to a different key under us; resolve again.
   }
@@ -455,16 +472,10 @@ Status RecordManager::UndoHook(Transaction* txn, TableId table,
   auto build = GetBuild(table);
   bool build_active = build && build->index_build.load();
   std::vector<IndexDescriptor> ready;
-  std::vector<IndexDescriptor> building;
   auto snapshot = [&]() {
     ready.clear();
-    building.clear();
     for (const IndexDescriptor& d : catalog_->IndexesOf(table)) {
-      if (d.state == IndexState::kReady) {
-        ready.push_back(d);
-      } else {
-        building.push_back(d);
-      }
+      if (d.state == IndexState::kReady) ready.push_back(d);
     }
   };
   snapshot();
@@ -480,75 +491,32 @@ Status RecordManager::UndoHook(Transaction* txn, TableId table,
     }
   }
 
+  // The inverse change's key diff for one index.
+  const HeapOp undo_op = InverseOp(original_op);
+  auto undo_diff = [&](const std::vector<uint32_t>& cols,
+                       const std::vector<KeyColumnType>& types,
+                       KeyDiff* diff) {
+    return DiffKeys(undo_op, after, before, cols, types, diff);
+  };
+
   // Direct (tree-traversal) compensation, logged redo-only: these actions
-  // are themselves undo actions and must never be re-undone.
+  // are themselves undo actions and must never be re-undone.  Both
+  // tolerate a crash-repeated compensation (absent / already present).
   auto compensate_direct = [&](BTree* tree, const std::vector<uint32_t>& cols,
                                const std::vector<KeyColumnType>& types)
       -> Status {
-    std::string old_key, new_key;
-    switch (original_op) {
-      case HeapOp::kInsert: {
-        // Undo of insert: the key for `after` must leave the index.
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, after, &new_key));
-        Status s = tree->PhysicalDelete(txn, new_key, rid,
-                                        LogRecordType::kRedoOnly);
-        if (!s.ok() && !s.IsNotFound()) return s;
-        return Status::OK();
-      }
-      case HeapOp::kDelete: {
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, before, &old_key));
-        auto r = tree->Insert(txn, old_key, rid, 0,
-                              LogRecordType::kRedoOnly);
-        if (!r.ok()) return r.status();
-        return Status::OK();
-      }
-      case HeapOp::kUpdate: {
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, after, &new_key));
-        OIB_RETURN_IF_ERROR(ExtractKeyFor(cols, types, before, &old_key));
-        if (new_key == old_key) return Status::OK();
-        Status s = tree->PhysicalDelete(txn, new_key, rid,
-                                        LogRecordType::kRedoOnly);
-        if (!s.ok() && !s.IsNotFound()) return s;
-        auto r = tree->Insert(txn, old_key, rid, 0,
-                              LogRecordType::kRedoOnly);
-        if (!r.ok()) return r.status();
-        return Status::OK();
-      }
-      default:
-        return Status::Corruption("bad undo op");
+    KeyDiff diff;
+    OIB_RETURN_IF_ERROR(undo_diff(cols, types, &diff));
+    if (diff.del) {
+      Status s = tree->PhysicalDelete(txn, diff.del_key, rid,
+                                      LogRecordType::kRedoOnly);
+      if (!s.ok() && !s.IsNotFound()) return s;
     }
-  };
-
-  // Inverse side-file entries for an SF build whose scan has passed this
-  // RID: the undo is itself a record modification the builder will not
-  // see (Figure 1 applied to the inverse operation).
-  auto compensate_side_file = [&](const InBuildIndex& ib) -> Status {
-    std::string old_key, new_key;
-    switch (original_op) {
-      case HeapOp::kInsert:
-        OIB_RETURN_IF_ERROR(
-            ExtractKeyFor(ib.key_cols, ib.key_types, after, &new_key));
-        return ib.side_file->Append(txn, SideFileOp::kDeleteKey, new_key,
-                                    rid);
-      case HeapOp::kDelete:
-        OIB_RETURN_IF_ERROR(
-            ExtractKeyFor(ib.key_cols, ib.key_types, before, &old_key));
-        return ib.side_file->Append(txn, SideFileOp::kInsertKey, old_key,
-                                    rid);
-      case HeapOp::kUpdate: {
-        OIB_RETURN_IF_ERROR(
-            ExtractKeyFor(ib.key_cols, ib.key_types, after, &new_key));
-        OIB_RETURN_IF_ERROR(
-            ExtractKeyFor(ib.key_cols, ib.key_types, before, &old_key));
-        if (new_key == old_key) return Status::OK();
-        OIB_RETURN_IF_ERROR(ib.side_file->Append(
-            txn, SideFileOp::kDeleteKey, new_key, rid));
-        return ib.side_file->Append(txn, SideFileOp::kInsertKey, old_key,
-                                    rid);
-      }
-      default:
-        return Status::Corruption("bad undo op");
+    if (diff.ins) {
+      return tree->Insert(txn, diff.ins_key, rid, 0, LogRecordType::kRedoOnly)
+          .status();
     }
+    return Status::OK();
   };
 
   uint32_t ordinal = 0;
@@ -571,9 +539,14 @@ Status RecordManager::UndoHook(Transaction* txn, TableId table,
       if (ordinal >= logged_count) {
         if (build->algo == BuildAlgo::kSf) {
           if (sf_visible) {
-            OIB_RETURN_IF_ERROR(compensate_side_file(ib));
+            // Inverse side-file entries: the undo is itself a record
+            // modification the builder will not see (Figure 1 applied to
+            // the inverse operation).
+            KeyDiff diff;
+            OIB_RETURN_IF_ERROR(undo_diff(ib.key_cols, ib.key_types, &diff));
+            OIB_RETURN_IF_ERROR(
+                AppendSideFile(txn, ib.side_file, diff, rid, &stats_));
             stats_.rollback_compensations.fetch_add(1);
-            build->side_file_appended.fetch_add(1, std::memory_order_relaxed);
           }
           // Invisible: IB will extract the post-undo state; nothing to do.
         } else {

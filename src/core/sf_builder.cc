@@ -1,14 +1,16 @@
 // Algorithm SF — Bottom-Up Index Build with Side-File (paper section 3).
 //
-// No quiesce, ever.  The builder maintains Current-RID as it scans; a
-// transaction whose Target-RID is behind the scan sees the index as
-// visible and appends <op, key> entries to the side-file (Figure 1),
-// otherwise it ignores the index and IB extracts the final state.  Keys
-// are sorted (restartable) and loaded bottom-up with *no logging*;
-// durability comes from loader checkpoints that flush the index pages and
-// record the highest key + rightmost branch (3.2.4).  Finally IB drains
-// the side-file — logged, committed and checkpointed in batches — and
-// flips the Index_Build flag under a short drain gate (3.2.5).
+// Updates are never quiesced while IB scans, sorts and loads.  The builder
+// maintains Current-RID as it scans; a transaction whose Target-RID is
+// behind the scan sees the index as visible and appends <op, key> entries
+// to the side-file (Figure 1), otherwise it ignores the index and IB
+// extracts the final state.  Keys are sorted (restartable) and loaded
+// bottom-up with *no logging*; durability comes from loader checkpoints
+// that flush the index pages and record the highest key + rightmost branch
+// (3.2.4).  Finally IB applies the side-file — logged, committed and
+// checkpointed in batches — and flips the Index_Build flag under the drain
+// gate (3.2.5).  Updaters wait at the gate only while IB applies the
+// residual its catch-up left; BuildStats::quiesce_ms reports that blackout.
 //
 // The scan is partitioned across build_threads workers by the shared
 // BuildPipeline.  Current-RID stays a single global frontier: each worker
@@ -23,8 +25,8 @@
 // sorter per index fed by a single pass over the data pages, then
 // per-index load and apply phases.
 
-#include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "btree/bulk_loader.h"
 #include "common/coding.h"
@@ -74,30 +76,39 @@ Status DecodeSfLoadState(const std::string& blob, uint32_t* loading_idx,
   return Status::OK();
 }
 
-// Phase-3 blob: [applying_idx][cursor page][cursor slot][ordinal][applied].
-std::string EncodeSfApplyState(uint32_t applying_idx, PageId page,
-                               SlotId slot, uint64_t ordinal,
-                               uint64_t applied) {
+// How far IB has read one index's side-file.
+struct ApplyPos {
+  SideFile::Cursor cursor;
+  uint64_t ordinal = 0;  // entries read so far (applied or fenced out)
+};
+
+// Phase-3 blob: [n] then per index [cursor page][cursor slot][ordinal].
+std::string EncodeSfApplyState(const std::vector<ApplyPos>& pos) {
   std::string out;
-  PutFixed32(&out, applying_idx);
-  PutFixed32(&out, page);
-  PutFixed16(&out, slot);
-  PutFixed64(&out, ordinal);
-  PutFixed64(&out, applied);
+  PutFixed32(&out, static_cast<uint32_t>(pos.size()));
+  for (const ApplyPos& p : pos) {
+    PutFixed32(&out, p.cursor.page);
+    PutFixed16(&out, p.cursor.slot);
+    PutFixed64(&out, p.ordinal);
+  }
   return out;
 }
 
-Status DecodeSfApplyState(const std::string& blob, uint32_t* applying_idx,
-                          PageId* page, SlotId* slot, uint64_t* ordinal,
-                          uint64_t* applied) {
+Status DecodeSfApplyState(const std::string& blob,
+                          std::vector<ApplyPos>* pos) {
   BufferReader r(blob);
-  uint16_t s;
-  if (!r.GetFixed32(applying_idx) || !r.GetFixed32(page) ||
-      !r.GetFixed16(&s) || !r.GetFixed64(ordinal) ||
-      !r.GetFixed64(applied)) {
+  uint32_t n;
+  if (!r.GetFixed32(&n) || n != pos->size()) {
     return Status::Corruption("sf apply state");
   }
-  *slot = s;
+  for (ApplyPos& p : *pos) {
+    uint16_t slot;
+    if (!r.GetFixed32(&p.cursor.page) || !r.GetFixed16(&slot) ||
+        !r.GetFixed64(&p.ordinal)) {
+      return Status::Corruption("sf apply state");
+    }
+    p.cursor.slot = slot;
+  }
   return Status::OK();
 }
 
@@ -122,6 +133,534 @@ bool FencedOut(const std::vector<SideFileFence>& fences, uint64_t ordinal,
 constexpr const char* kSfScanSpans[] = {
     "sf.scan.p0", "sf.scan.p1", "sf.scan.p2", "sf.scan.p3",
     "sf.scan.p4", "sf.scan.p5", "sf.scan.p6", "sf.scan.p7"};
+
+// One run of an SF build, from whichever phase it starts at to the end.
+// The phase functions share this state.  A phase returns an injected
+// fault as-is, leaving the durable checkpoints for Resume; any other
+// failure after the load starts aborts the build (Abort).
+class SfRun {
+ public:
+  SfRun(Engine* engine, TableId table, std::vector<IndexId> ids)
+      : engine_(engine),
+        catalog_(engine->catalog()),
+        options_(engine->options()),
+        tracer_(engine->tracer()),
+        table_(table),
+        ids_(std::move(ids)),
+        n_(ids_.size()),
+        consumed_counter_(
+            obs::MetricsRegistry::Default().GetCounter("sidefile.applied")) {}
+
+  Status Run(int start_phase, const std::string& phase_blob,
+             BuildStats* stats);
+
+ private:
+  Status Init();
+  // Phase 1: partitioned scan + pipelined sort, then merge preparation.
+  Status Scan(const std::string& phase_blob);
+  Status ExtractLateTail(PageId last_scanned, size_t tail_writer);
+  // Phase 2: bottom-up load of indexes [loading_idx, n).
+  Status Load(uint32_t loading_idx, const std::string& loader_blob);
+  Status LoadIndex(uint32_t idx, const std::string& loader_blob);
+  // Phase 3: the catch-up, then the gated residual and the flag flip.
+  Status Apply();
+  Status Finalize();
+  Status DrainAndPublish();  // under the gate
+  Status ApplySideFile(size_t idx,
+                       const std::function<bool(uint64_t)>& stop);
+  Status ApplyEntry(size_t idx, const SideFile::Entry& e);
+  Status CommitApplied(size_t consumed);
+  // Publishes the entries read so far (every index, across restarts) as
+  // the build's side_file_applied progress.
+  void PublishApplied();
+  Status Abort(const Status& cause);
+  // Persists the build's progress: its phase and that phase's blob.
+  Status SaveProgress(int phase, std::string blob) {
+    meta_.phase = phase;
+    meta_.phase_blob = std::move(blob);
+    return SaveBuildMeta(engine_, table_, meta_);
+  }
+
+  Engine* engine_;
+  Catalog* catalog_;
+  const Options& options_;
+  obs::Tracer* tracer_;
+  TableId table_;
+  std::vector<IndexId> ids_;
+  size_t n_;
+  HeapFile* heap_ = nullptr;
+  std::shared_ptr<ActiveBuild> build_;
+  std::vector<BTree*> trees_;
+  std::vector<SideFile*> side_files_;
+  std::vector<IndexDescriptor> descs_;
+  std::vector<std::unique_ptr<ExternalSorter>> sorters_;
+  BuildMeta meta_;
+  std::vector<std::string> sort_blobs_;
+  std::vector<ApplyPos> pos_;
+  // Builder transaction: the unique-verification locks and the side-file
+  // application; committed (and replaced) after every apply batch.
+  Transaction* txn_ = nullptr;
+  BuildStats stats_;
+  // Side-file entries consumed, paired with records.side_file_appends so
+  // the time-series sampler can plot the backlog without this build.
+  obs::Counter* consumed_counter_;
+};
+
+Status SfRun::Init() {
+  heap_ = catalog_->table(table_);
+  if (heap_ == nullptr) return Status::NotFound("no such table");
+  build_ = engine_->records()->GetBuild(table_);
+  if (!build_) return Status::Corruption("SF build not registered");
+  trees_.resize(n_);
+  side_files_.resize(n_);
+  descs_.resize(n_);
+  for (size_t i = 0; i < n_; ++i) {
+    trees_[i] = catalog_->index(ids_[i]);
+    side_files_[i] = catalog_->side_file(ids_[i]);
+    auto d = catalog_->descriptor(ids_[i]);
+    if (!d.ok()) return d.status();
+    descs_[i] = *d;
+    if (trees_[i] == nullptr || side_files_[i] == nullptr) {
+      return Status::Corruption("missing SF build objects");
+    }
+    sorters_.push_back(
+        std::make_unique<ExternalSorter>(engine_->runs(), &options_));
+  }
+  auto loaded = LoadBuildMeta(engine_, table_);
+  if (!loaded.ok()) return loaded.status();
+  meta_ = std::move(*loaded);
+  // Restart may have added fences (ReattachInterruptedBuilds).
+  if (meta_.fences.size() != n_) meta_.fences.assign(n_, {});
+  pos_.resize(n_);
+  return Status::OK();
+}
+
+Status SfRun::Run(int start_phase, const std::string& phase_blob,
+                  BuildStats* stats) {
+  LogStats log_before = engine_->log()->stats();
+  uint64_t key_raw_before = engine_->runs()->raw_key_bytes();
+  uint64_t key_stored_before = engine_->runs()->stored_key_bytes();
+  auto t_run = std::chrono::steady_clock::now();
+  OIB_RETURN_IF_ERROR(Init());
+
+  uint32_t loading_idx = 0;
+  std::string loader_blob;
+  if (start_phase <= 1) {
+    OIB_RETURN_IF_ERROR(Scan(phase_blob));
+  } else if (start_phase == 2) {
+    OIB_RETURN_IF_ERROR(DecodeSfLoadState(phase_blob, &loading_idx,
+                                          &sort_blobs_, &loader_blob));
+    for (size_t i = loading_idx; i < n_; ++i) {
+      auto caller = sorters_[i]->ResumeSortPhase(sort_blobs_[i]);
+      if (!caller.ok()) return caller.status();
+    }
+  }
+
+  txn_ = engine_->Begin();
+  if (start_phase <= 2) {
+    OIB_RETURN_IF_ERROR(Load(loading_idx, loader_blob));
+    for (size_t i = 0; i < n_; ++i) pos_[i].cursor = side_files_[i]->Begin();
+    OIB_RETURN_IF_ERROR(SaveProgress(3, EncodeSfApplyState(pos_)));
+  } else {
+    OIB_RETURN_IF_ERROR(DecodeSfApplyState(phase_blob, &pos_));
+    PublishApplied();
+  }
+
+  // A resumed build skipped Catalog::Load's hash population (the tree's
+  // tail may have been torn at that point) and phase-2 consume only saw
+  // keys loaded in this run, so the mirrors may be missing a prefix — or
+  // whole trees loaded before the crash.  Updaters never touch an
+  // SF-building tree directly (they route through the side-file), so the
+  // trees are stable here and a full rescan rebuilds every mirror.
+  if (start_phase >= 2) {
+    for (size_t i = 0; i < n_; ++i) {
+      if (HashIndex* hash = catalog_->hash_index(ids_[i])) {
+        Status s = PopulateHashFromTree(trees_[i], hash);
+        if (!s.ok()) return s.IsInjected() ? s : Abort(s);
+      }
+    }
+  }
+
+  auto t_apply = std::chrono::steady_clock::now();
+  OIB_RETURN_IF_ERROR(Apply());
+  OIB_RETURN_IF_ERROR(Finalize());
+  engine_->records()->UnregisterBuild(table_);
+  OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table_));
+  stats_.apply_ms = MsSince(t_apply);
+
+  LogStats log_after = engine_->log()->stats();
+  stats_.log_records = log_after.records - log_before.records;
+  stats_.log_bytes = log_after.bytes - log_before.bytes;
+  stats_.key_bytes_moved = engine_->runs()->raw_key_bytes() - key_raw_before;
+  stats_.key_bytes_stored =
+      engine_->runs()->stored_key_bytes() - key_stored_before;
+  stats_.elapsed_ms = MsSince(t_run);
+  if (stats != nullptr) *stats = stats_;
+  return Status::OK();
+}
+
+Status SfRun::Scan(const std::string& phase_blob) {
+  // Current-RID advances under each page's S latch (section 3.2.2) to the
+  // maximum extracted page across all workers.
+  build_->SetPhase(obs::BuildPhase::kScan);
+  obs::ScopedSpan scan_span(tracer_, "sf.scan");
+  ScanPlan plan;
+  if (!phase_blob.empty()) {
+    OIB_RETURN_IF_ERROR(DecodeScanPlan(phase_blob, &plan));
+    if (plan.parts.empty()) return Status::Corruption("sf scan plan");
+  } else {
+    auto planned =
+        PlanPartitionedScan(heap_, kInvalidPageId, options_.build_threads);
+    if (!planned.ok()) return planned.status();
+    plan = std::move(*planned);
+  }
+
+  std::vector<BuildPipeline::ScanTarget> targets;
+  targets.reserve(n_);
+  for (size_t i = 0; i < n_; ++i) {
+    targets.push_back(
+        {descs_[i].key_cols, descs_[i].key_types, sorters_[i].get()});
+  }
+  ActiveBuild* build = build_.get();
+  BuildPipeline::ScanHooks hooks;
+  hooks.failpoint = "sf.scan";
+  hooks.span_names = kSfScanSpans;
+  hooks.span_name_count = 8;
+  hooks.page_scanned = [build](PageId page) {
+    // Still holding the page's S latch: every record in this page is
+    // now "behind" the scan.  CAS-max keeps the global frontier
+    // monotone when workers publish out of order.
+    uint64_t candidate = PackRid(Rid(page, kInvalidSlotId));
+    uint64_t cur = build->current_rid.load(std::memory_order_relaxed);
+    while (cur < candidate &&
+           !build->current_rid.compare_exchange_weak(cur, candidate)) {
+    }
+  };
+  hooks.keys_progress = [build](uint64_t k) {
+    build->keys_done.fetch_add(k, std::memory_order_relaxed);
+  };
+  hooks.checkpoint = [&](const std::string& blob) -> Status {
+    obs::ScopedSpan ckpt_span(tracer_, "sf.ckpt");
+    meta_.current_rid = build_->current_rid.load();
+    return SaveProgress(1, blob);
+  };
+  BuildPipeline::ScanResult scan_res;
+  OIB_RETURN_IF_ERROR(BuildPipeline::RunScan(
+      heap_, tracer_, targets, &plan, hooks,
+      options_.sort_checkpoint_every_keys, &scan_res));
+  stats_.keys_extracted = scan_res.keys_extracted;
+  stats_.data_pages_scanned = scan_res.pages_scanned;
+  stats_.checkpoints += scan_res.checkpoints;
+  stats_.scan_ms = scan_res.busy_ms;
+
+  build_->SetCurrentRid(Rid::Infinity());
+  OIB_RETURN_IF_ERROR(
+      ExtractLateTail(scan_res.tail_last_scanned, plan.parts.size() - 1));
+  scan_span.set_arg(stats_.keys_extracted);
+  scan_span.End();
+
+  build_->SetPhase(obs::BuildPhase::kSortMerge);
+  obs::ScopedSpan sort_span(tracer_, "sf.sort.merge_prep");
+  sort_blobs_.clear();
+  for (size_t i = 0; i < n_; ++i) {
+    OIB_RETURN_IF_ERROR(sorters_[i]->FinishWriters());
+    OIB_RETURN_IF_ERROR(sorters_[i]->PrepareMerge());
+    stats_.sort_runs += sorters_[i]->runs().size();
+    auto b = sorters_[i]->CheckpointSortPhase("");
+    if (!b.ok()) return b.status();
+    sort_blobs_.push_back(std::move(*b));
+  }
+  meta_.current_rid = PackRid(Rid::Infinity());
+  return SaveProgress(2, EncodeSfLoadState(0, sort_blobs_, ""));
+}
+
+Status SfRun::ExtractLateTail(PageId last_scanned, size_t tail_writer) {
+  // Extension race: a transaction may have chained a new page after the
+  // tail worker read next == invalid but before Current-RID became
+  // infinity; its inserts decided "invisible" and made no side-file
+  // entries.  Now that infinity is published, re-read the tail's next
+  // under the latch: any page linked before that re-read must still be
+  // extracted (pages linked after it see infinity and go through the
+  // side-file — the extraction below is then merely redundant, which
+  // the tolerant apply handles).  Tail keys land in the last
+  // partition's still-open run writer.
+  if (last_scanned == kInvalidPageId) return Status::OK();
+  // Records on last_scanned were already extracted; only the link
+  // matters (ExtractPage reads it under the latch).
+  std::vector<std::pair<Rid, std::string>> recs;
+  auto next = heap_->ExtractPage(last_scanned, &recs);
+  if (!next.ok()) return next.status();
+  std::string key_buf;
+  for (PageId page = *next; page != kInvalidPageId; page = *next) {
+    recs.clear();
+    next = heap_->ExtractPage(page, &recs);
+    if (!next.ok()) return next.status();
+    for (const auto& [rid, rec] : recs) {
+      for (size_t i = 0; i < n_; ++i) {
+        OIB_RETURN_IF_ERROR(Schema::ExtractKeyTo(
+            rec, descs_[i].key_cols, descs_[i].key_types, &key_buf));
+        OIB_RETURN_IF_ERROR(
+            sorters_[i]->writer(tail_writer)->Add(key_buf, rid));
+      }
+      ++stats_.keys_extracted;
+      build_->keys_done.fetch_add(1, std::memory_order_relaxed);
+    }
+    ++stats_.data_pages_scanned;
+  }
+  return Status::OK();
+}
+
+Status SfRun::Load(uint32_t loading_idx, const std::string& loader_blob) {
+  // Bottom-up, unlogged, checkpointed load (3.2.4), fed by the final
+  // merge — on its own thread when the build is parallel.
+  build_->SetPhase(obs::BuildPhase::kLoad);
+  obs::ScopedSpan load_span(tracer_, "sf.load");
+  for (uint32_t idx = loading_idx; idx < n_; ++idx) {
+    OIB_RETURN_IF_ERROR(
+        LoadIndex(idx, idx == loading_idx ? loader_blob : std::string()));
+  }
+  return Status::OK();
+}
+
+Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
+  BulkLoader loader(trees_[idx], engine_->pool(), &options_);
+  std::vector<uint64_t> counters;
+  const std::vector<uint64_t>* resume_at = nullptr;
+  if (!loader_blob.empty()) {
+    auto caller = loader.Resume(loader_blob);
+    if (!caller.ok()) return caller.status();
+    BufferReader r(*caller);
+    if (!GetCounters(&r, &counters)) {
+      return Status::Corruption("sf loader counters");
+    }
+    resume_at = &counters;
+  } else {
+    // After a crash without a loader checkpoint the tree may contain
+    // flushed-but-abandoned pages; start from an empty root.
+    OIB_RETURN_IF_ERROR(loader.ResetToEmpty());
+  }
+  auto cursor = sorters_[idx]->OpenMerge(resume_at);
+  if (!cursor.ok()) return cursor.status();
+
+  const IndexDescriptor& desc = descs_[idx];
+  std::string prev_key;
+  Rid prev_rid;
+  bool has_prev = loader.has_high_key();
+  if (has_prev) {
+    prev_key = loader.high_key();
+    prev_rid = loader.high_rid();
+  }
+  uint64_t since_ckpt = 0;
+  // Feed the hash mirror alongside the loader: bulk-loaded leaves bypass
+  // the tree's mutation choke points, so the observer never fires for
+  // them.  A resumed build re-scans the whole tree after this phase (see
+  // Run), so missing the pre-crash prefix is fine.
+  HashIndex* hash = catalog_->hash_index(ids_[idx]);
+  // Checkpoints happen at merge-batch boundaries, where the batch's
+  // counters snapshot identifies the merge position the consumer has
+  // actually reached (the shared cursor runs ahead under overlap).
+  auto consume = [&](const BuildPipeline::Batch& mb) -> Status {
+    for (const SortItem& item : mb.items) {
+      OIB_FAIL_POINT("sf.load");
+      if (desc.unique && has_prev && item.key.view() == prev_key &&
+          !(item.rid == prev_rid)) {
+        OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
+            engine_, txn_->id(), table_, desc.key_cols, desc.key_types,
+            item.key.view(), prev_rid, item.rid));
+      }
+      OIB_RETURN_IF_ERROR(loader.Add(item.key, item.rid));
+      if (hash != nullptr) {
+        OIB_FAIL_POINT("hash.populate");
+        hash->BulkAdd(item.key.view(), item.rid, 0);
+      }
+      prev_key.assign(item.key.data(), item.key.size());
+      prev_rid = item.rid;
+      has_prev = true;
+      ++stats_.keys_loaded;
+      ++since_ckpt;
+      build_->keys_done.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (options_.ib_checkpoint_every_keys > 0 &&
+        since_ckpt >= options_.ib_checkpoint_every_keys) {
+      obs::ScopedSpan ckpt_span(tracer_, "sf.ckpt");
+      std::string counters_blob;
+      PutCounters(&counters_blob, mb.counters);
+      auto ckpt = loader.Checkpoint(counters_blob);
+      if (!ckpt.ok()) return ckpt.status();
+      OIB_RETURN_IF_ERROR(
+          SaveProgress(2, EncodeSfLoadState(idx, sort_blobs_, *ckpt)));
+      ++stats_.checkpoints;
+      since_ckpt = 0;
+    }
+    return Status::OK();
+  };
+  BuildPipeline::MergeStats merge_stats;
+  Status s = BuildPipeline::MergeToConsumer(
+      cursor->get(), options_.merge_batch_keys, options_.merge_queue_depth,
+      options_.build_threads > 1, consume, &merge_stats);
+  if (!s.ok()) {
+    if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
+    // Rollback latches pages and takes txn-level mutexes; the loader's
+    // open leaf/level latches must go first.
+    loader.Abandon();
+    return Abort(s);
+  }
+  stats_.merge_ms += merge_stats.merge_busy_ms;
+  stats_.load_ms += merge_stats.consume_busy_ms;
+  OIB_RETURN_IF_ERROR(loader.Finish());
+  OIB_RETURN_IF_ERROR(engine_->pool()->FlushAll());
+  return SaveProgress(2, EncodeSfLoadState(idx + 1, sort_blobs_, ""));
+}
+
+Status SfRun::Apply() {
+  build_->SetPhase(obs::BuildPhase::kApply);
+  obs::ScopedSpan apply_span(tracer_, "sf.apply");
+  for (size_t idx = 0; idx < n_; ++idx) {
+    // Section 3.2.5 quiesces updaters when IB gets *close* to the end of
+    // the side-file, not at the literal end — and the catch-up must
+    // terminate even when the appenders outpace IB (a read-until-empty
+    // loop has no bound).  Chase a snapshot of the tail; on reaching it,
+    // stop if the backlog is within one batch, else re-snapshot and go
+    // again, at most three times.  Finalize applies what remains.
+    SideFile* sf = side_files_[idx];
+    uint64_t target = sf->entries_appended();
+    int passes = 0;
+    Status s = ApplySideFile(idx, [&](uint64_t ordinal) {
+      if (ordinal < target) return false;
+      uint64_t appended = sf->entries_appended();
+      if (appended - ordinal <= options_.sf_apply_batch || ++passes >= 3) {
+        return true;
+      }
+      target = appended;
+      return false;
+    });
+    if (!s.ok()) return s.IsInjected() ? s : Abort(s);
+  }
+  return Status::OK();
+}
+
+Status SfRun::Finalize() {
+  // Finalize edge: drain gate + index publication are next.  Injected
+  // here the build aborts cleanly, gate never taken.
+  OIB_FAIL_POINT("sf.finalize");
+  build_->SetPhase(obs::BuildPhase::kDrain);
+  obs::ScopedSpan drain_span(tracer_, "sf.drain");
+  // The blackout runs from the moment new updaters start backing off.
+  auto t_gate = std::chrono::steady_clock::now();
+  // CloseGate backs new readers off first — a bare lock() could be
+  // starved forever by updaters re-acquiring the reader-preferring
+  // rwlock (see ActiveBuild).
+  sync::UniqueLock gate = build_->CloseGate();
+  Status s = DrainAndPublish();
+  // Open the gate before any abort: Cancel takes a table S lock, which
+  // waits for the IX of updaters blocked on the gate.
+  gate.Release();
+  stats_.quiesce_ms = MsSince(t_gate);
+  if (s.ok() || s.IsInjected()) return s;
+  return Abort(s);
+}
+
+Status SfRun::DrainAndPublish() {
+  // No transaction is now between its visibility decision and its
+  // append, so each side-file ends where it ends now.  Apply every
+  // index's residual from its retained position, exactly once; after the
+  // flag flips, every future update goes directly to the index.
+  for (size_t idx = 0; idx < n_; ++idx) {
+    OIB_RETURN_IF_ERROR(ApplySideFile(idx, nullptr));
+  }
+  // Commit edge: every batch is committed; ending the builder's
+  // transaction is the last step before publication.  SetIndexReady
+  // persists the catalog directly, and a crash before it leaves a
+  // kBuilding index that Resume finishes from the retained positions.
+  OIB_FAIL_POINT("sf.commit");
+  OIB_RETURN_IF_ERROR(engine_->Commit(txn_));
+  txn_ = nullptr;
+  ++stats_.commits;
+  for (IndexId id : ids_) OIB_RETURN_IF_ERROR(catalog_->SetIndexReady(id));
+  build_->index_build.store(false);
+  build_->SetPhase(obs::BuildPhase::kDone);
+  return Status::OK();
+}
+
+// The one side-file apply loop (3.2.5).  Reads index idx's side-file from
+// its retained position a batch at a time, skips restart-fenced entries,
+// applies the rest, then commits and checkpoints.  Returns at the tail, or
+// when `stop` (given the new ordinal) says the rest can wait.
+Status SfRun::ApplySideFile(size_t idx,
+                            const std::function<bool(uint64_t)>& stop) {
+  ApplyPos& pos = pos_[idx];
+  std::vector<SideFile::Entry> entries;
+  for (;;) {
+    OIB_FAIL_POINT("sf.apply");
+    obs::ScopedSpan batch_span(tracer_, "sf.apply.batch");
+    auto got = side_files_[idx]->ReadBatch(
+        &pos.cursor, options_.sf_apply_batch, &entries);
+    if (!got.ok()) return got.status();
+    if (*got == 0) return Status::OK();  // caught up with the appenders
+    batch_span.set_arg(*got);
+    for (const SideFile::Entry& e : entries) {
+      if (FencedOut(meta_.fences[idx], pos.ordinal++, e.rid)) {
+        ++stats_.side_file_skipped_stale;
+        continue;
+      }
+      OIB_RETURN_IF_ERROR(ApplyEntry(idx, e));
+      ++stats_.side_file_applied;
+    }
+    OIB_RETURN_IF_ERROR(CommitApplied(*got));
+    if (stop && stop(pos.ordinal)) return Status::OK();
+  }
+}
+
+Status SfRun::ApplyEntry(size_t idx, const SideFile::Entry& e) {
+  BTree* tree = trees_[idx];
+  if (e.op == SideFileOp::kInsertKey) {
+    if (descs_[idx].unique) {
+      // Verify value uniqueness against whatever entry exists.
+      auto vm = tree->FindKeyValue(e.key);
+      if (!vm.ok()) return vm.status();
+      if (vm->found && !(vm->rid == e.rid) && !vm->pseudo_deleted) {
+        OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
+            engine_, txn_->id(), table_, descs_[idx].key_cols,
+            descs_[idx].key_types, e.key, vm->rid, e.rid));
+      }
+    }
+    // kAlreadyPresent / kReactivated are expected: IB may have loaded
+    // the key, or a stale duplicate was filtered by commit/crash races.
+    return tree->Insert(txn_, e.key, e.rid).status();
+  }
+  // Delete: remove if present; absent is fine (the corresponding insert
+  // entry was lost to a pre-commit crash, or this is a crash-repeated
+  // compensation) — see DESIGN.md.
+  Status s = tree->PhysicalDelete(txn_, e.key, e.rid);
+  return s.IsNotFound() ? Status::OK() : s;
+}
+
+// Periodic commit + progress checkpoint (3.2.5).  The checkpoint holds
+// every index's position, so a resumed build restarts each side-file
+// exactly where its committed applies end.
+Status SfRun::CommitApplied(size_t consumed) {
+  obs::ScopedSpan ckpt_span(tracer_, "sf.ckpt");
+  OIB_RETURN_IF_ERROR(engine_->Commit(txn_));
+  ++stats_.commits;
+  txn_ = engine_->Begin();
+  OIB_RETURN_IF_ERROR(SaveProgress(3, EncodeSfApplyState(pos_)));
+  ++stats_.checkpoints;
+  PublishApplied();
+  consumed_counter_->Inc(consumed);
+  return Status::OK();
+}
+
+void SfRun::PublishApplied() {
+  uint64_t read = 0;
+  for (const ApplyPos& p : pos_) read += p.ordinal;
+  build_->side_file_applied.store(read, std::memory_order_relaxed);
+}
+
+Status SfRun::Abort(const Status& cause) {
+  if (txn_ != nullptr) (void)engine_->Rollback(txn_);
+  OIB_RETURN_IF_ERROR(SfIndexBuilder(engine_).Cancel(table_));
+  return cause;
+}
 
 }  // namespace
 
@@ -176,7 +715,7 @@ Status SfIndexBuilder::BuildMany(const std::vector<BuildParams>& params,
   OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
 
   if (out != nullptr) *out = ids;
-  return Run(table, ids, /*start_phase=*/1, "", stats);
+  return SfRun(engine_, table, ids).Run(/*start_phase=*/1, "", stats);
 }
 
 Status SfIndexBuilder::Resume(TableId table, BuildStats* stats) {
@@ -185,7 +724,8 @@ Status SfIndexBuilder::Resume(TableId table, BuildStats* stats) {
   if (meta->algo != BuildAlgo::kSf) {
     return Status::InvalidArgument("not an interrupted SF build");
   }
-  return Run(table, meta->indexes, meta->phase, meta->phase_blob, stats);
+  return SfRun(engine_, table, meta->indexes)
+      .Run(meta->phase, meta->phase_blob, stats);
 }
 
 Status SfIndexBuilder::Cancel(TableId table) {
@@ -202,559 +742,6 @@ Status SfIndexBuilder::Cancel(TableId table) {
   }
   OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table));
   return engine_->Commit(txn);
-}
-
-Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
-                           int start_phase, std::string phase_blob,
-                           BuildStats* stats) {
-  Catalog* catalog = engine_->catalog();
-  HeapFile* heap = catalog->table(table);
-  if (heap == nullptr) return Status::NotFound("no such table");
-  auto build = engine_->records()->GetBuild(table);
-  if (!build) return Status::Corruption("SF build not registered");
-  const Options& options = engine_->options();
-  LogStats log_before = engine_->log()->stats();
-  uint64_t key_raw_before = engine_->runs()->raw_key_bytes();
-  uint64_t key_stored_before = engine_->runs()->stored_key_bytes();
-  BuildStats local;
-  auto t_run = std::chrono::steady_clock::now();
-
-  size_t n = ids.size();
-  std::vector<BTree*> trees(n);
-  std::vector<SideFile*> side_files(n);
-  std::vector<IndexDescriptor> descs(n);
-  for (size_t i = 0; i < n; ++i) {
-    trees[i] = catalog->index(ids[i]);
-    side_files[i] = catalog->side_file(ids[i]);
-    auto d = catalog->descriptor(ids[i]);
-    if (!d.ok()) return d.status();
-    descs[i] = *d;
-    if (trees[i] == nullptr || side_files[i] == nullptr) {
-      return Status::Corruption("missing SF build objects");
-    }
-  }
-
-  std::vector<std::unique_ptr<ExternalSorter>> sorters;
-  for (size_t i = 0; i < n; ++i) {
-    sorters.push_back(
-        std::make_unique<ExternalSorter>(engine_->runs(), &options));
-  }
-
-  BuildMeta meta;
-  {
-    auto loaded = LoadBuildMeta(engine_, table);
-    if (!loaded.ok()) return loaded.status();
-    meta = std::move(*loaded);
-  }
-
-  std::vector<std::string> sort_blobs;
-  uint32_t loading_idx = 0;
-  std::string loader_blob;
-
-  obs::Tracer* tracer = engine_->tracer();
-
-  if (start_phase <= 1) {
-    // ---- Phase 1: partitioned scan + pipelined sort.  Current-RID
-    // advances under each page's S latch (section 3.2.2) to the maximum
-    // extracted page across all workers.
-    build->SetPhase(obs::BuildPhase::kScan);
-    obs::ScopedSpan scan_span(tracer, "sf.scan");
-    ScanPlan plan;
-    if (!phase_blob.empty()) {
-      OIB_RETURN_IF_ERROR(DecodeScanPlan(phase_blob, &plan));
-      if (plan.parts.empty()) return Status::Corruption("sf scan plan");
-    } else {
-      auto planned =
-          PlanPartitionedScan(heap, kInvalidPageId, options.build_threads);
-      if (!planned.ok()) return planned.status();
-      plan = std::move(*planned);
-    }
-
-    std::vector<BuildPipeline::ScanTarget> targets;
-    targets.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      targets.push_back(
-          {descs[i].key_cols, descs[i].key_types, sorters[i].get()});
-    }
-    BuildPipeline::ScanHooks hooks;
-    hooks.failpoint = "sf.scan";
-    hooks.span_names = kSfScanSpans;
-    hooks.span_name_count = 8;
-    hooks.page_scanned = [&](PageId page) {
-      // Still holding the page's S latch: every record in this page is
-      // now "behind" the scan.  CAS-max keeps the global frontier
-      // monotone when workers publish out of order.
-      uint64_t candidate = PackRid(Rid(page, kInvalidSlotId));
-      uint64_t cur = build->current_rid.load(std::memory_order_relaxed);
-      while (cur < candidate &&
-             !build->current_rid.compare_exchange_weak(cur, candidate)) {
-      }
-    };
-    hooks.keys_progress = [&](uint64_t k) {
-      build->keys_done.fetch_add(k, std::memory_order_relaxed);
-    };
-    hooks.checkpoint = [&](const std::string& blob) -> Status {
-      obs::ScopedSpan ckpt_span(tracer, "sf.ckpt");
-      meta.phase = 1;
-      meta.current_rid = build->current_rid.load();
-      meta.phase_blob = blob;
-      return SaveBuildMeta(engine_, table, meta);
-    };
-    BuildPipeline::ScanResult scan_res;
-    OIB_RETURN_IF_ERROR(BuildPipeline::RunScan(
-        heap, tracer, targets, &plan, hooks,
-        options.sort_checkpoint_every_keys, &scan_res));
-    local.keys_extracted = scan_res.keys_extracted;
-    local.data_pages_scanned = scan_res.pages_scanned;
-    local.checkpoints += scan_res.checkpoints;
-    local.scan_ms = scan_res.busy_ms;
-
-    build->SetCurrentRid(Rid::Infinity());
-    // Extension race: a transaction may have chained a new page after the
-    // tail worker read next == invalid but before Current-RID became
-    // infinity; its inserts decided "invisible" and made no side-file
-    // entries.  Now that infinity is published, re-read the tail's next
-    // under the latch: any page linked before that re-read must still be
-    // extracted (pages linked after it see infinity and go through the
-    // side-file — the extraction below is then merely redundant, which
-    // the tolerant apply handles).  Tail keys land in the last
-    // partition's still-open run writer.
-    PageId last_scanned = scan_res.tail_last_scanned;
-    const size_t tail_writer = plan.parts.size() - 1;
-    while (last_scanned != kInvalidPageId) {
-      PageId more = kInvalidPageId;
-      {
-        std::vector<std::pair<Rid, std::string>> probe;
-        auto next = heap->ExtractPage(last_scanned, &probe);
-        if (!next.ok()) return next.status();
-        // Records on last_scanned were already extracted; only the link
-        // matters (ExtractPage reads it under the latch).
-        more = *next;
-      }
-      if (more == kInvalidPageId) break;
-      std::vector<std::pair<Rid, std::string>> recs;
-      auto next = heap->ExtractPage(more, &recs);
-      if (!next.ok()) return next.status();
-      std::string key_buf;
-      for (const auto& [rid, rec] : recs) {
-        for (size_t i = 0; i < n; ++i) {
-          OIB_RETURN_IF_ERROR(Schema::ExtractKeyTo(
-              rec, descs[i].key_cols, descs[i].key_types, &key_buf));
-          OIB_RETURN_IF_ERROR(
-              sorters[i]->writer(tail_writer)->Add(key_buf, rid));
-        }
-        ++local.keys_extracted;
-        build->keys_done.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++local.data_pages_scanned;
-      last_scanned = more;
-    }
-
-    scan_span.set_arg(local.keys_extracted);
-    scan_span.End();
-    build->SetPhase(obs::BuildPhase::kSortMerge);
-    obs::ScopedSpan sort_span(tracer, "sf.sort.merge_prep");
-    sort_blobs.clear();
-    for (size_t i = 0; i < n; ++i) {
-      OIB_RETURN_IF_ERROR(sorters[i]->FinishWriters());
-      OIB_RETURN_IF_ERROR(sorters[i]->PrepareMerge());
-      local.sort_runs += sorters[i]->runs().size();
-      auto b = sorters[i]->CheckpointSortPhase("");
-      if (!b.ok()) return b.status();
-      sort_blobs.push_back(std::move(*b));
-    }
-    meta.phase = 2;
-    meta.current_rid = PackRid(Rid::Infinity());
-    meta.phase_blob = EncodeSfLoadState(0, sort_blobs, "");
-    OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
-  } else if (start_phase == 2) {
-    OIB_RETURN_IF_ERROR(DecodeSfLoadState(phase_blob, &loading_idx,
-                                          &sort_blobs, &loader_blob));
-    for (size_t i = loading_idx; i < n; ++i) {
-      auto caller = sorters[i]->ResumeSortPhase(sort_blobs[i]);
-      if (!caller.ok()) return caller.status();
-    }
-  }
-
-  // A transaction used only for the unique-verification lock protocol and
-  // the side-file application.
-  Transaction* txn = engine_->Begin();
-  auto abort_build = [&](const Status& cause) -> Status {
-    (void)engine_->Rollback(txn);
-    OIB_RETURN_IF_ERROR(Cancel(table));
-    return cause;
-  };
-
-  if (start_phase <= 2) {
-    // ---- Phase 2: bottom-up, unlogged, checkpointed load (3.2.4), fed
-    // by the final merge — on its own thread when the build is parallel.
-    // Checkpoints happen at merge-batch boundaries, where the batch's
-    // counters snapshot identifies the merge position the consumer has
-    // actually reached (the shared cursor runs ahead under overlap).
-    build->SetPhase(obs::BuildPhase::kLoad);
-    obs::ScopedSpan load_span(tracer, "sf.load");
-    for (uint32_t idx = loading_idx; idx < n; ++idx) {
-      BulkLoader loader(trees[idx], engine_->pool(), &options);
-      std::unique_ptr<MergeCursor> cursor;
-      if (idx == loading_idx && !loader_blob.empty()) {
-        auto caller = loader.Resume(loader_blob);
-        if (!caller.ok()) return caller.status();
-        BufferReader r(*caller);
-        std::vector<uint64_t> counters;
-        if (!GetCounters(&r, &counters)) {
-          return Status::Corruption("sf loader counters");
-        }
-        auto c = sorters[idx]->OpenMerge(&counters);
-        if (!c.ok()) return c.status();
-        cursor = std::move(*c);
-      } else {
-        // After a crash without a loader checkpoint the tree may contain
-        // flushed-but-abandoned pages; start from an empty root.
-        OIB_RETURN_IF_ERROR(loader.ResetToEmpty());
-        auto c = sorters[idx]->OpenMerge(nullptr);
-        if (!c.ok()) return c.status();
-        cursor = std::move(*c);
-      }
-
-      std::string prev_key;
-      Rid prev_rid;
-      bool has_prev = loader.has_high_key();
-      if (has_prev) {
-        prev_key = loader.high_key();
-        prev_rid = loader.high_rid();
-      }
-      uint64_t since_ckpt = 0;
-      // Feed the hash mirror alongside the loader: bulk-loaded leaves
-      // bypass the tree's mutation choke points, so the observer never
-      // fires for them.  A resumed build re-scans the whole tree after
-      // this phase (see below), so missing the pre-crash prefix is fine.
-      HashIndex* hash = catalog->hash_index(ids[idx]);
-      auto consume = [&](const BuildPipeline::Batch& mb) -> Status {
-        for (const SortItem& item : mb.items) {
-          OIB_FAIL_POINT("sf.load");
-          if (descs[idx].unique && has_prev && item.key.view() == prev_key &&
-              !(item.rid == prev_rid)) {
-            OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
-                engine_, txn->id(), table, descs[idx].key_cols,
-                descs[idx].key_types, item.key.view(), prev_rid, item.rid));
-          }
-          OIB_RETURN_IF_ERROR(loader.Add(item.key, item.rid));
-          if (hash != nullptr) {
-            OIB_FAIL_POINT("hash.populate");
-            hash->BulkAdd(item.key.view(), item.rid, 0);
-          }
-          prev_key.assign(item.key.data(), item.key.size());
-          prev_rid = item.rid;
-          has_prev = true;
-          ++local.keys_loaded;
-          ++since_ckpt;
-          build->keys_done.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (options.ib_checkpoint_every_keys > 0 &&
-            since_ckpt >= options.ib_checkpoint_every_keys) {
-          obs::ScopedSpan ckpt_span(tracer, "sf.ckpt");
-          std::string counters_blob;
-          PutCounters(&counters_blob, mb.counters);
-          auto ckpt = loader.Checkpoint(counters_blob);
-          if (!ckpt.ok()) return ckpt.status();
-          meta.phase = 2;
-          meta.phase_blob = EncodeSfLoadState(idx, sort_blobs, *ckpt);
-          OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
-          ++local.checkpoints;
-          since_ckpt = 0;
-        }
-        return Status::OK();
-      };
-      BuildPipeline::MergeStats merge_stats;
-      Status s = BuildPipeline::MergeToConsumer(
-          cursor.get(), options.merge_batch_keys, options.merge_queue_depth,
-          options.build_threads > 1, consume, &merge_stats);
-      if (!s.ok()) {
-        if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
-        // Rollback latches pages and takes txn-level mutexes; the
-        // loader's open leaf/level latches must go first.
-        loader.Abandon();
-        return abort_build(s);
-      }
-      local.merge_ms += merge_stats.merge_busy_ms;
-      local.load_ms += merge_stats.consume_busy_ms;
-      OIB_RETURN_IF_ERROR(loader.Finish());
-      OIB_RETURN_IF_ERROR(engine_->pool()->FlushAll());
-      meta.phase = 2;
-      meta.phase_blob = EncodeSfLoadState(idx + 1, sort_blobs, "");
-      OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
-    }
-    meta.phase = 3;
-    meta.phase_blob = EncodeSfApplyState(0, kInvalidPageId, 0, 0, 0);
-    OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
-    phase_blob = meta.phase_blob;
-  }
-
-  // A resumed build skipped Catalog::Load's hash population (the tree's
-  // tail may have been torn at that point) and phase-2 consume only saw
-  // keys loaded in this run, so the mirrors may be missing a prefix — or
-  // whole trees loaded before the crash.  Updaters never touch an
-  // SF-building tree directly (they route through the side-file), so the
-  // trees are stable here and a full rescan rebuilds every mirror.
-  if (start_phase >= 2) {
-    for (size_t i = 0; i < n; ++i) {
-      if (HashIndex* hash = catalog->hash_index(ids[i])) {
-        Status s = PopulateHashFromTree(trees[i], hash);
-        if (!s.ok()) {
-          if (s.IsInjected()) return s;  // crash-test hook
-          return abort_build(s);
-        }
-      }
-    }
-  }
-  auto t_apply = std::chrono::steady_clock::now();
-
-  // ---- Phase 3: side-file application (3.2.5).
-  build->SetPhase(obs::BuildPhase::kApply);
-  obs::ScopedSpan apply_span(tracer, "sf.apply");
-  // Cumulative mirror of build->side_file_applied: paired with
-  // records.side_file_appends it lets the time-series sampler plot the
-  // side-file backlog without holding a reference to this build.
-  obs::Counter* applied_counter =
-      obs::MetricsRegistry::Default().GetCounter("sidefile.applied");
-  uint32_t applying_idx = 0;
-  PageId cur_page = kInvalidPageId;
-  SlotId cur_slot = 0;
-  uint64_t ordinal = 0, applied = 0;
-  OIB_RETURN_IF_ERROR(DecodeSfApplyState(
-      start_phase == 3 ? phase_blob : meta.phase_blob, &applying_idx,
-      &cur_page, &cur_slot, &ordinal, &applied));
-
-  // Re-load fences (restart may have added some).
-  {
-    auto loaded = LoadBuildMeta(engine_, table);
-    if (loaded.ok()) meta.fences = loaded->fences;
-    if (meta.fences.size() != n) meta.fences.assign(n, {});
-  }
-
-  auto apply_entry = [&](uint32_t idx, const SideFile::Entry& e) -> Status {
-    BTree* tree = trees[idx];
-    if (e.op == SideFileOp::kInsertKey) {
-      if (descs[idx].unique) {
-        // Verify value uniqueness against whatever entry exists.
-        auto vm = tree->FindKeyValue(e.key);
-        if (!vm.ok()) return vm.status();
-        if (vm->found && !(vm->rid == e.rid) && !vm->pseudo_deleted) {
-          Status s = VerifyUniqueConflict(engine_, txn->id(), table,
-                                          descs[idx].key_cols,
-                                          descs[idx].key_types, e.key,
-                                          vm->rid, e.rid);
-          if (!s.ok()) return s;
-        }
-      }
-      auto r = tree->Insert(txn, e.key, e.rid);
-      if (!r.ok()) return r.status();
-      // kAlreadyPresent / kReactivated are expected: IB may have loaded
-      // the key, or a stale duplicate was filtered by commit/crash races.
-      return Status::OK();
-    }
-    // Delete: remove if present; absent is fine (the corresponding insert
-    // entry was lost to a pre-commit crash, or this is a crash-repeated
-    // compensation) — see DESIGN.md.
-    Status s = tree->PhysicalDelete(txn, e.key, e.rid);
-    if (s.IsNotFound()) return Status::OK();
-    return s;
-  };
-
-  for (uint32_t idx = applying_idx; idx < n; ++idx) {
-    SideFile::Cursor cursor;
-    if (idx == applying_idx && cur_page != kInvalidPageId) {
-      cursor.page = cur_page;
-      cursor.slot = cur_slot;
-    } else {
-      cursor = side_files[idx]->Begin();
-      ordinal = 0;
-      applied = 0;
-    }
-    if (options.sf_sort_side_file) {
-      // Section 3.2.5 optimization: "IB could sort the entries of the
-      // side-file, without modifying the relative positions of the
-      // identical keys, before applying those updates to the index."
-      // Entries appended while the sorted batch is applied are processed
-      // sequentially by the normal loop below.  This pass is not
-      // checkpointed (a crash repeats it; the application is idempotent
-      // only as a full in-order replay, so the whole batch re-runs).
-      std::vector<std::pair<uint64_t, SideFile::Entry>> batch;
-      for (;;) {
-        std::vector<SideFile::Entry> entries;
-        auto got = side_files[idx]->ReadBatch(&cursor, 1024, &entries);
-        if (!got.ok()) return abort_build(got.status());
-        if (*got == 0) break;
-        for (SideFile::Entry& e : entries) {
-          if (!FencedOut(meta.fences[idx], ordinal, e.rid)) {
-            batch.emplace_back(ordinal, std::move(e));
-          } else {
-            ++local.side_file_skipped_stale;
-          }
-          ++ordinal;
-        }
-      }
-      std::stable_sort(batch.begin(), batch.end(),
-                       [](const auto& a, const auto& b) {
-                         int c = CompareKeySlice(a.second.key, b.second.key);
-                         if (c != 0) return c < 0;
-                         if (a.second.rid < b.second.rid) return true;
-                         if (b.second.rid < a.second.rid) return false;
-                         return false;  // stable keeps append order
-                       });
-      for (const auto& [ord, e] : batch) {
-        (void)ord;
-        Status s = apply_entry(idx, e);
-        if (!s.ok()) return abort_build(s);
-        ++applied;
-        ++local.side_file_applied;
-        build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
-        applied_counter->Inc();
-      }
-      OIB_RETURN_IF_ERROR(engine_->Commit(txn));
-      ++local.commits;
-      txn = engine_->Begin();
-    }
-    uint64_t since_commit = 0;
-    // Section 3.2.5 quiesces updaters when IB gets *close* to the end of
-    // the side-file, not at the literal end — and the chase must
-    // terminate even when the appenders outpace IB (a read-until-empty
-    // loop has no bound: they can append faster than IB applies).  Chase
-    // a snapshot of the tail; on reaching it, re-snapshot and go again a
-    // fixed number of times; whatever remains is applied under the drain
-    // gate below, where appenders are blocked and the walk is finite.
-    uint64_t chase_target = side_files[idx]->entries_appended();
-    int chase_passes = 0;
-    for (;;) {
-      OIB_FAIL_POINT("sf.apply");
-      obs::ScopedSpan batch_span(tracer, "sf.apply.batch");
-      std::vector<SideFile::Entry> entries;
-      auto got = side_files[idx]->ReadBatch(&cursor, options.sf_apply_batch,
-                                            &entries);
-      if (!got.ok()) return abort_build(got.status());
-      if (*got == 0) break;  // caught up (for now)
-      batch_span.set_arg(*got);
-      for (const SideFile::Entry& e : entries) {
-        if (FencedOut(meta.fences[idx], ordinal, e.rid)) {
-          ++ordinal;
-          ++local.side_file_skipped_stale;
-          continue;
-        }
-        ++ordinal;
-        Status s = apply_entry(idx, e);
-        if (!s.ok()) {
-          if (s.IsUniqueViolation()) return abort_build(s);
-          return abort_build(s);
-        }
-        ++applied;
-        ++local.side_file_applied;
-        build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
-        applied_counter->Inc();
-      }
-      since_commit += *got;
-      if (since_commit >= options.sf_apply_batch) {
-        // Periodic commit + progress checkpoint (3.2.5).
-        obs::ScopedSpan ckpt_span(tracer, "sf.ckpt");
-        OIB_RETURN_IF_ERROR(engine_->Commit(txn));
-        ++local.commits;
-        meta.phase = 3;
-        meta.phase_blob = EncodeSfApplyState(idx, cursor.page, cursor.slot,
-                                             ordinal, applied);
-        OIB_RETURN_IF_ERROR(SaveBuildMeta(engine_, table, meta));
-        ++local.checkpoints;
-        txn = engine_->Begin();
-        since_commit = 0;
-      }
-      if (ordinal >= chase_target) {
-        uint64_t appended = side_files[idx]->entries_appended();
-        if (appended - ordinal <= options.sf_apply_batch ||
-            ++chase_passes >= 3) {
-          break;
-        }
-        chase_target = appended;
-      }
-    }
-  }
-
-  // Final drain under the gate: no transaction can be between its
-  // visibility decision and its append, so after applying the residual
-  // entries and flipping the flag, every future update goes directly to
-  // the index.
-  apply_span.End();
-  // Finalize edge: drain gate + index publication are next.  Injected
-  // here the build aborts cleanly, gate never taken.
-  OIB_FAIL_POINT("sf.finalize");
-  build->SetPhase(obs::BuildPhase::kDrain);
-  {
-    obs::ScopedSpan drain_span(tracer, "sf.drain");
-    // CloseGate backs new readers off first — a bare lock() could be
-    // starved forever by updaters re-acquiring the reader-preferring
-    // rwlock (see ActiveBuild).
-    sync::UniqueLock gate = build->CloseGate();
-    for (uint32_t idx = 0; idx < n; ++idx) {
-      // Residual entries appended since each index's catch-up loop ended.
-      // (Cheap: re-walk from the recorded cursor for the last index; for
-      // the others, from their own end positions we did not retain, so
-      // walk from the beginning and skip already-applied entries by
-      // ordinal.)
-      SideFile::Cursor cursor = side_files[idx]->Begin();
-      uint64_t ord = 0;
-      for (;;) {
-        std::vector<SideFile::Entry> entries;
-        auto got = side_files[idx]->ReadBatch(&cursor, 256, &entries);
-        if (!got.ok()) return got.status();
-        if (*got == 0) break;
-        for (const SideFile::Entry& e : entries) {
-          bool already_applied =
-              (idx == n - 1) ? (ord < ordinal) : false;
-          bool fenced = FencedOut(meta.fences[idx], ord, e.rid);
-          ++ord;
-          if (fenced) continue;
-          if (already_applied) continue;
-          if (idx != n - 1) {
-            // Re-apply idempotently: Insert tolerates duplicates and
-            // Delete tolerates absence.
-          }
-          Status s = apply_entry(idx, e);
-          if (!s.ok()) {
-            if (s.IsUniqueViolation()) return abort_build(s);
-            return s;
-          }
-          ++local.side_file_applied;
-          build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
-          applied_counter->Inc();
-        }
-      }
-    }
-    // Commit edge: the residual applies must be durable *before* the
-    // indexes are published.  SetIndexReady persists the catalog
-    // directly, so the reverse order has a crash window where a ready
-    // index loses its residual applies to loser-transaction undo at
-    // restart (the build is no longer kBuilding, so nothing resumes it).
-    // Committing first is safe: a crash before the ready flip leaves a
-    // kBuilding index that Resume finishes idempotently.
-    OIB_FAIL_POINT("sf.commit");
-    OIB_RETURN_IF_ERROR(engine_->Commit(txn));
-    ++local.commits;
-    for (uint32_t idx = 0; idx < n; ++idx) {
-      OIB_RETURN_IF_ERROR(catalog->SetIndexReady(ids[idx]));
-    }
-    build->index_build.store(false);
-    build->SetPhase(obs::BuildPhase::kDone);
-  }
-  engine_->records()->UnregisterBuild(table);
-  OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table));
-  local.apply_ms = MsSince(t_apply);
-
-  LogStats log_after = engine_->log()->stats();
-  local.log_records = log_after.records - log_before.records;
-  local.log_bytes = log_after.bytes - log_before.bytes;
-  local.key_bytes_moved = engine_->runs()->raw_key_bytes() - key_raw_before;
-  local.key_bytes_stored =
-      engine_->runs()->stored_key_bytes() - key_stored_before;
-  local.elapsed_ms = MsSince(t_run);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
 }
 
 }  // namespace oib

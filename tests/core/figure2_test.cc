@@ -57,10 +57,15 @@ TEST_F(Figure2Test, InvisibleForwardVisibleRollbackAppendsInverse) {
   // IB's scan passes the record (it extracts the NEW key state).
   build->SetCurrentRid(Rid::Infinity());
 
+  uint64_t counted_before = engine_->records()->stats().side_file_appends;
   ASSERT_OK(engine_->Rollback(t1));
   // Figure 2: count-mismatch compensation — inverse entries for the
   // update: delete the new key, insert the old key.
   EXPECT_EQ(ib.side_file->entries_appended(), 2u);
+  // Undo appends are counted like forward ones, once per entry.
+  EXPECT_EQ(engine_->records()->stats().side_file_appends - counted_before,
+            2u);
+  EXPECT_EQ(engine_->GetBuildProgress(table).side_file_appended, 2u);
   SideFile::Cursor cursor = ib.side_file->Begin();
   std::vector<SideFile::Entry> entries;
   ASSERT_OK(ib.side_file->ReadBatch(&cursor, 10, &entries).status());

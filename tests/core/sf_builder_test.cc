@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "btree/tree_verifier.h"
@@ -22,6 +25,53 @@ class SfBuilderTest : public EngineTest {
     p.key_cols = {0};
     return p;
   }
+
+  // Runs `build` on its own thread and holds it for 300 ms at the first
+  // evaluation of failpoint `site`, while `during` runs on this thread.
+  Status BuildHeldAt(const char* site, const std::function<Status()>& build,
+                     const std::function<void()>& during) {
+    FailPointPolicy delay;
+    delay.action = FailPointAction::kDelay;
+    delay.arg = 300'000;  // usec
+    FailPointRegistry::Instance().ArmPolicy(site, delay);
+    Status s;
+    std::atomic<bool> done{false};
+    std::thread builder([&] {
+      s = build();
+      done.store(true);
+    });
+    while (FailPointRegistry::Instance().fired_count(site) == 0 &&
+           !done.load()) {
+      std::this_thread::yield();
+    }
+    EXPECT_FALSE(done.load()) << "build never reached " << site;
+    during();
+    builder.join();
+    return s;
+  }
+
+  // Commits `n` updates that change both columns of rids[0..n): each adds
+  // a delete and an insert entry to the side-file of an index on either.
+  void UpdateBothColumns(TableId table, const std::vector<Rid>& rids, int n) {
+    for (int i = 0; i < n; ++i) {
+      Transaction* txn = engine_->Begin();
+      std::string tag = std::to_string(i);
+      EXPECT_OK(engine_->records()->UpdateRecord(
+          txn, table, rids[i],
+          Schema::EncodeRecord({"zz-upd-" + tag, "new-payload-" + tag})));
+      EXPECT_OK(engine_->Commit(txn));
+    }
+  }
+
+  std::vector<BuildParams> TwoIndexes(TableId table) {
+    BuildParams by_payload = Params(table, false, "by_payload");
+    by_payload.key_cols = {1};
+    return {Params(table, false, "by_key"), by_payload};
+  }
+
+  uint64_t SideFileAppends() {
+    return engine_->records()->stats().side_file_appends.load();
+  }
 };
 
 TEST_F(SfBuilderTest, QuietBuildMatchesTable) {
@@ -34,7 +84,8 @@ TEST_F(SfBuilderTest, QuietBuildMatchesTable) {
   EXPECT_EQ(stats.keys_extracted, 3000u);
   EXPECT_EQ(stats.keys_loaded, 3000u);
   EXPECT_EQ(stats.side_file_applied, 0u);  // no concurrent updates
-  EXPECT_EQ(stats.quiesce_ms, 0.0);        // SF never quiesces
+  // The drain gate's blackout is part of the build.
+  EXPECT_LE(stats.quiesce_ms, stats.elapsed_ms);
   ExpectIndexConsistent(table, index);
 }
 
@@ -295,6 +346,116 @@ TEST_F(SfBuilderTest, BuildManyInOneScan) {
   ExpectIndexConsistent(table, ids[1]);
 }
 
+TEST_F(SfBuilderTest, BuildManyAppliesEachSideFileEntryOnce) {
+  // Both side-files fill while the build is held in its load.  The
+  // catch-up applies each index's entries, and the gated drain applies
+  // only what arrived after that index's catch-up, so every entry is read
+  // exactly once.
+  TableId table = MakeTable();
+  auto rids = Populate(table, 1000);
+  uint64_t appends_before = SideFileAppends();
+  std::vector<IndexId> ids;
+  BuildStats stats;
+  Status s = BuildHeldAt(
+      "sf.load",
+      [&] {
+        return SfIndexBuilder(engine_.get())
+            .BuildMany(TwoIndexes(table), &ids, &stats);
+      },
+      [&] { UpdateBothColumns(table, rids, 100); });
+  ASSERT_OK(s);
+  uint64_t appended = SideFileAppends() - appends_before;
+  EXPECT_GT(appended, 0u);
+  EXPECT_EQ(stats.side_file_applied + stats.side_file_skipped_stale,
+            appended);
+  ExpectIndexConsistent(table, ids[0]);
+  ExpectIndexConsistent(table, ids[1]);
+}
+
+TEST_F(SfBuilderTest, BuildManyResumesEachSideFileFromItsPosition) {
+  TableId table = MakeTable();
+  auto rids = Populate(table, 1000);
+  options_.sf_apply_batch = 16;
+  ReopenWithOptions();
+  std::vector<IndexId> ids;
+  uint64_t entries[2] = {0, 0};
+  Status s = BuildHeldAt(
+      "sf.load",
+      [&] {
+        return SfIndexBuilder(engine_.get())
+            .BuildMany(TwoIndexes(table), &ids, nullptr);
+      },
+      [&] {
+        UpdateBothColumns(table, rids, 100);
+        auto descs = engine_->catalog()->IndexesOf(table);
+        ASSERT_EQ(descs.size(), 2u);
+        for (int i = 0; i < 2; ++i) {
+          entries[i] =
+              engine_->catalog()->side_file(descs[i].id)->entries_appended();
+        }
+        // Index 0's catch-up reads ceil(e0/16) batches; fail at the top
+        // of index 1's second batch, after its first batch committed.
+        int index0_batches = static_cast<int>((entries[0] + 15) / 16);
+        FailPointRegistry::Instance().Arm("sf.apply", index0_batches + 1);
+      });
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+  ASSERT_GT(entries[1], 16u);
+
+  CrashAndRestart();
+  SfIndexBuilder resumed(engine_.get());
+  BuildStats stats;
+  ASSERT_OK(resumed.Resume(table, &stats));
+  // Index 0 resumes at its end and index 1 after its committed batch.
+  EXPECT_EQ(stats.side_file_applied + stats.side_file_skipped_stale,
+            entries[1] - 16);
+  auto descs = engine_->catalog()->IndexesOf(table);
+  ASSERT_EQ(descs.size(), 2u);
+  ExpectIndexConsistent(table, descs[0].id);
+  ExpectIndexConsistent(table, descs[1].id);
+}
+
+TEST_F(SfBuilderTest, UniqueViolationUnderDrainGateAbortsPromptly) {
+  // A duplicate committed after the catch-up is found under the drain
+  // gate, while an updater waits on the gate holding its table IX.  The
+  // build must open the gate before Cancel asks for the table S lock.
+  TableId table = MakeTable();
+  Populate(table, 500);
+  std::atomic<bool> stop{false};
+  std::thread updater([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      Transaction* txn = engine_->Begin();
+      auto rid = engine_->records()->InsertRecord(
+          txn, table, Schema::EncodeRecord({"upd-" + std::to_string(i), "p"}));
+      EXPECT_OK(rid.ok() ? engine_->Commit(txn) : engine_->Rollback(txn));
+    }
+  });
+  IndexId index;
+  auto t0 = std::chrono::steady_clock::now();
+  Status s = BuildHeldAt(
+      "sf.finalize",
+      [&] {
+        return SfIndexBuilder(engine_.get())
+            .Build(Params(table, true, "u"), &index);
+      },
+      [&] {
+        Transaction* txn = engine_->Begin();
+        EXPECT_OK(engine_->records()
+                      ->InsertRecord(txn, table,
+                                     Schema::EncodeRecord(
+                                         {Workload::MakeKey(7, 12), "dup"}))
+                      .status());
+        EXPECT_OK(engine_->Commit(txn));
+      });
+  double waited_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  stop.store(true);
+  updater.join();
+  EXPECT_TRUE(s.IsUniqueViolation()) << s.ToString();
+  EXPECT_TRUE(engine_->catalog()->IndexesOf(table).empty());
+  EXPECT_LT(waited_s, 30.0);
+}
+
 // ---- crash / resume ----
 
 TEST_F(SfBuilderTest, ResumeAfterCrashDuringScan) {
@@ -348,23 +509,14 @@ TEST_F(SfBuilderTest, ResumeAfterCrashDuringApply) {
   options_.sf_apply_batch = 16;
   ReopenWithOptions();
 
-  // Generate side-file traffic during the build, then crash during apply.
-  WorkloadOptions wo;
-  wo.threads = 2;
-  Workload workload(engine_.get(), table, wo);
-  workload.Seed(rids, 2000);
-  workload.Start();
+  // Fill the side-file while the build is held in its load (200 entries,
+  // 13 batches), then fail at the top of the fourth apply batch.
   FailPointRegistry::Instance().Arm("sf.apply", 3);
-  SfIndexBuilder builder(engine_.get());
   IndexId index;
-  Status s = builder.Build(Params(table), &index);
-  workload.Stop();
-  if (s.ok()) {
-    // Not enough side-file traffic to hit the fail point; still verify.
-    auto descs = engine_->catalog()->IndexesOf(table);
-    ExpectIndexConsistent(table, descs[0].id);
-    return;
-  }
+  Status s = BuildHeldAt(
+      "sf.load",
+      [&] { return SfIndexBuilder(engine_.get()).Build(Params(table), &index); },
+      [&] { UpdateBothColumns(table, rids, 100); });
   ASSERT_TRUE(s.IsInjected()) << s.ToString();
 
   CrashAndRestart();
