@@ -1,24 +1,31 @@
-// E11 — Restart recovery: wall-clock vs log length, serial vs parallel
-// redo (ROADMAP "parallel restart redo"; paper section 5 motivation —
-// a build interrupted by a crash must come back quickly enough that
-// "not all the so-far-accomplished work is lost").
+// E11 — Restart recovery: wall-clock vs log length (paper section 5
+// motivation — a build interrupted by a crash must come back quickly
+// enough that "not all the so-far-accomplished work is lost").
 //
 // Builds a crashed durable state once per log size on real files (no
-// checkpoint, so restart replays the whole history), then restarts
-// fresh copies of that state with 1, 2, and 4 redo threads.  Claim
-// checked: partitioned-by-page redo beats the serial forward pass on
-// the same log, and recovers byte-identical row counts.
+// checkpoint, so restart replays the whole history), then restarts fresh
+// copies of that state --reps=N times (default 3) through the single
+// forward analysis+redo pass.  Claim checked: recovery cost scales with
+// the un-checkpointed log tail, and every restart recovers the exact row
+// count.
 //
 // A third state checkpoints after the bulk load, so only the committed
 // tail is replayed: restart then reads the log suffix after the
 // checkpoint and the heap pages linked since, not the whole log and
-// table.  Every row splits restart_ms into its stages (open, analysis,
-// redo, catalog load, build reattach, undo); attributed_pct is their sum
-// as a share of restart_ms.
+// table.  Every row splits restart_ms into its stages (open, analysis
+// with redo, catalog load, build reattach, undo) and reports the median
+// and min/max across reps of restart_ms and of each stage;
+// attributed_pct is the median over reps of the stages' sum as a share
+// of restart_ms.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -79,11 +86,17 @@ std::string MakeCrashedState(uint64_t rows, const Options& options,
   return dir;
 }
 
-double RunOne(const std::string& seed_dir, uint64_t rows, const char* size,
-              size_t threads, double serial_ms, BenchReport* report) {
+// One restart's wall-clock and its stages, in ms.
+struct Sample {
+  double restart = 0, open = 0, analysis = 0, catalog = 0, reattach = 0,
+         undo = 0;
+  double attributed_pct = 0;  // the stages' sum as a share of restart
+  uint64_t records_redone = 0;
+};
+
+Sample RestartOnce(const std::string& seed_dir, uint64_t rows) {
   namespace fs = std::filesystem;
   Options options = DefaultBenchOptions();
-  options.recovery_threads = threads;
   std::string dir = BenchDir("oib_bench_e11_run");
   std::error_code ec;
   fs::copy(seed_dir, dir, fs::copy_options::recursive, ec);
@@ -94,13 +107,14 @@ double RunOne(const std::string& seed_dir, uint64_t rows, const char* size,
   RecoveryStats stats;
   double t0 = NowMs();
   auto engine = Engine::Restart(options, env->get(), &stats);
-  double restart_ms = NowMs() - t0;
+  Sample out;
+  out.restart = NowMs() - t0;
   if (!engine.ok()) {
     std::fprintf(stderr, "restart failed: %s\n",
                  engine.status().ToString().c_str());
     std::abort();
   }
-  // Recovered state must be complete regardless of parallelism.
+  // Every rep must recover the complete state.
   auto table = (*engine)->catalog()->TableByName("t");
   if (!table.ok()) std::abort();
   uint64_t n = 0;
@@ -121,51 +135,77 @@ double RunOne(const std::string& seed_dir, uint64_t rows, const char* size,
   env->reset();
   fs::remove_all(dir, ec);
 
-  double speedup = serial_ms > 0 ? serial_ms / restart_ms : 1.0;
-  double attributed_ms =
-      (stats.open_ns + stats.analysis_ns + stats.redo_ns +
-       stats.catalog_load_ns + stats.reattach_ns + stats.undo_ns) /
-      1e6;
-  double attributed_pct = 100.0 * attributed_ms / restart_ms;
-  std::printf(
-      "%-10s %7llu %7zu %10.1f %9llu %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f "
-      "%6.1f%% %7.2fx\n",
-      size, (unsigned long long)rows, stats.redo_threads, restart_ms,
-      (unsigned long long)stats.records_redone, stats.open_ns / 1e6,
-      stats.analysis_ns / 1e6, stats.redo_ns / 1e6,
-      stats.catalog_load_ns / 1e6, stats.reattach_ns / 1e6,
-      stats.undo_ns / 1e6, attributed_pct, speedup);
-  report->AddRow(std::string(size) + "/threads=" + std::to_string(threads),
-                 {{"rows", static_cast<double>(rows)},
-                  {"redo_threads", static_cast<double>(stats.redo_threads)},
-                  {"restart_ms", restart_ms},
-                  {"records_redone", static_cast<double>(stats.records_redone)},
-                  {"open_ms", stats.open_ns / 1e6},
-                  {"analysis_ms", stats.analysis_ns / 1e6},
-                  {"redo_ms", stats.redo_ns / 1e6},
-                  {"catalog_load_ms", stats.catalog_load_ns / 1e6},
-                  {"reattach_ms", stats.reattach_ns / 1e6},
-                  {"undo_ms", stats.undo_ns / 1e6},
-                  {"attributed_pct", attributed_pct},
-                  {"speedup_vs_serial", speedup}});
-  return restart_ms;
+  out.open = stats.open_ns / 1e6;
+  out.analysis = stats.analysis_ns / 1e6;
+  out.catalog = stats.catalog_load_ns / 1e6;
+  out.reattach = stats.reattach_ns / 1e6;
+  out.undo = stats.undo_ns / 1e6;
+  out.attributed_pct = 100.0 *
+                       (out.open + out.analysis + out.catalog + out.reattach +
+                        out.undo) /
+                       out.restart;
+  out.records_redone = stats.records_redone;
+  return out;
 }
 
-void Run() {
+struct Spread {
+  double median, min, max;
+};
+
+Spread SpreadOf(const std::vector<Sample>& samples, double Sample::*field) {
+  std::vector<double> v;
+  for (const Sample& s : samples) v.push_back(s.*field);
+  std::sort(v.begin(), v.end());
+  size_t n = v.size();
+  double median = n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  return {median, v.front(), v.back()};
+}
+
+void Report(const char* state, uint64_t rows,
+            const std::vector<Sample>& samples, BenchReport* report) {
+  std::vector<std::pair<std::string, double>> cols = {
+      {"rows", static_cast<double>(rows)},
+      {"reps", static_cast<double>(samples.size())},
+      {"records_redone", static_cast<double>(samples[0].records_redone)}};
+  struct Stage {
+    const char* name;
+    double Sample::*field;
+  };
+  const Stage stages[] = {{"restart_ms", &Sample::restart},
+                          {"open_ms", &Sample::open},
+                          {"analysis_ms", &Sample::analysis},
+                          {"catalog_load_ms", &Sample::catalog},
+                          {"reattach_ms", &Sample::reattach},
+                          {"undo_ms", &Sample::undo}};
+  std::printf("%-10s %7llu %9llu", state, (unsigned long long)rows,
+              (unsigned long long)samples[0].records_redone);
+  for (const Stage& st : stages) {
+    Spread sp = SpreadOf(samples, st.field);
+    cols.push_back({st.name, sp.median});
+    cols.push_back({std::string(st.name) + "_min", sp.min});
+    cols.push_back({std::string(st.name) + "_max", sp.max});
+    std::printf(" %7.1f [%5.1f,%5.1f]", sp.median, sp.min, sp.max);
+  }
+  double attributed_pct =
+      SpreadOf(samples, &Sample::attributed_pct).median;
+  std::printf(" %6.1f%%\n", attributed_pct);
+  cols.push_back({"attributed_pct", attributed_pct});
+  report->AddRow(state, cols);
+}
+
+void Run(int reps) {
   PrintHeader(
-      "E11: restart recovery time vs log length, serial vs parallel redo",
-      "partitioned-by-page redo recovers the same state faster than the "
-      "serial forward pass; recovery cost scales with the un-checkpointed "
-      "log tail, and the restart stages add up to restart_ms");
-  std::printf(
-      "%-10s %7s %7s %10s %9s %7s %7s %7s %7s %7s %7s %7s %8s\n", "size",
-      "rows", "threads", "restart_ms", "redone", "open", "ana_ms",
-      "redo_ms", "catalog", "reattach", "undo_ms", "attrib", "speedup");
+      "E11: restart recovery time vs log length",
+      "recovery cost scales with the un-checkpointed log tail, and the "
+      "restart stages add up to restart_ms (median [min,max] over reps)");
+  std::printf("%-10s %7s %9s %21s %21s %21s %21s %21s %21s %7s\n", "state",
+              "rows", "redone", "restart_ms", "open", "analysis+redo",
+              "catalog", "reattach", "undo", "attrib");
   BenchReport report("e11");
   namespace fs = std::filesystem;
   Options options = DefaultBenchOptions();
   struct State {
-    const char* size;
+    const char* name;
     uint64_t rows;
     bool checkpoint;
   };
@@ -175,16 +215,13 @@ void Run() {
     uint64_t wal_bytes = 0;
     std::string seed_dir =
         MakeCrashedState(st.rows, options, st.checkpoint, &wal_bytes);
-    std::printf("--- %s: wal=%.1f MiB ---\n", st.size,
+    std::printf("--- %s: wal=%.1f MiB ---\n", st.name,
                 wal_bytes / (1024.0 * 1024.0));
-    // Serial baseline first; later rows report speedup against it.  The
-    // checkpointed state replays too little for redo threads to matter.
-    double serial_ms = RunOne(seed_dir, st.rows, st.size, 1, 0.0, &report);
-    if (!st.checkpoint) {
-      for (size_t threads : {2ul, 4ul}) {
-        RunOne(seed_dir, st.rows, st.size, threads, serial_ms, &report);
-      }
+    std::vector<Sample> samples;
+    for (int rep = 0; rep < reps; ++rep) {
+      samples.push_back(RestartOnce(seed_dir, st.rows));
     }
+    Report(st.name, st.rows, samples, &report);
     std::error_code ec;
     fs::remove_all(seed_dir, ec);
   }
@@ -197,6 +234,16 @@ void Run() {
 
 int main(int argc, char** argv) {
   oib::bench::InitBenchObs(&argc, argv);
-  oib::bench::Run();
+  int reps = 3;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
+      reps = std::atoi(argv[i] + 7);
+    } else {
+      std::fprintf(stderr, "usage: %s [--reps=N]\n", argv[0]);
+      return 2;
+    }
+  }
+  if (reps < 1) return 2;
+  oib::bench::Run(reps);
   return 0;
 }

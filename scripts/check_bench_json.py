@@ -45,9 +45,9 @@ REQUIRED_ROW_KEYS = {
     "e8": [],
     "e9": ["threads", "build_ms", "ops_per_sec_during_build",
            "update_p99_us", "commits", "failpoint_overhead_pct"],
-    "e11": ["rows", "redo_threads", "restart_ms", "records_redone",
-            "open_ms", "analysis_ms", "redo_ms", "catalog_load_ms",
-            "reattach_ms", "undo_ms", "attributed_pct", "speedup_vs_serial"],
+    "e11": ["rows", "reps", "records_redone", "restart_ms",
+            "restart_ms_min", "restart_ms_max", "open_ms", "analysis_ms",
+            "catalog_load_ms", "reattach_ms", "undo_ms", "attributed_pct"],
     "a1": [],
     "micro": ["ns_per_op", "lookups"],
 }
@@ -65,6 +65,11 @@ REQUIRED_SCENARIO_ROWS = {
                                "read_p99_steady_us", "read_p50_build_us",
                                "read_p99_build_us", "hash_hits",
                                "hash_misses", "hash_fallbacks"],
+    },
+    "e11": {
+        "small": [],
+        "large": [],
+        "large_ckpt": [],
     },
     "micro": {
         "hash_probe_hit": [],

@@ -1005,35 +1005,6 @@ Status BTree::CollectLeaves(std::vector<PageId>* out) const {
 
 // ------------------------------ BtreeRm ------------------------------
 
-void BtreeRm::RedoPageSet(const LogRecord& rec, std::vector<PageId>* out) {
-  out->clear();
-  BtreeOp op = static_cast<BtreeOp>(rec.opcode);
-  if (op == BtreeOp::kSplit) {
-    SplitPayload p;
-    if (DecodeSplitPayload(rec.redo, &p).ok()) {
-      out->push_back(p.new_page);
-      out->push_back(rec.page_id);
-      if (p.parent != kInvalidPageId) out->push_back(p.parent);
-    } else {
-      // Undecodable: force a barrier; Redo will report the corruption.
-      out->assign(2, rec.page_id);
-    }
-    return;
-  }
-  if (op == BtreeOp::kNewRoot) {
-    PageId anchor, old_root;
-    uint8_t level;
-    if (DecodeNewRootPayload(rec.redo, &anchor, &old_root, &level).ok()) {
-      out->push_back(rec.page_id);
-      out->push_back(anchor);
-    } else {
-      out->assign(2, rec.page_id);
-    }
-    return;
-  }
-  out->push_back(rec.page_id);
-}
-
 Status BtreeRm::Redo(const LogRecord& rec) {
   BtreeOp op = static_cast<BtreeOp>(rec.opcode);
   size_t page_size = pool_->disk()->page_size();

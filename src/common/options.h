@@ -1,6 +1,16 @@
-// Engine-wide tunables.  Every knob the paper discusses as a design choice
-// (keys per log record, IB checkpoint interval, leaf fill factor, ...) is a
-// field here so the ablation benches can sweep it.
+// Engine-wide tunables.  A setting is a field here only when something
+// sets it to a second value: a knob the paper discusses as a design choice
+// (keys per log record, IB checkpoint interval, leaf fill factor, sort
+// workspace, side-file batch) that the ablation benches sweep; the scan
+// worker count; the page and pool sizes the benches and tests shrink; the
+// hash fast path; and fault injection / observability switches.  Tests
+// also set hash_index_shards, sort_merge_fanin and lock_timeout_ms to
+// second values so multi-shard hashing, multi-pass merging and lock waits
+// run on any core count.  Everything with a single value in use is a
+// named constant next to the code that uses it (the WAL ring size, the
+// buffer-pool shard count, the merge->consumer batch and queue depth).
+// scripts/check_options_used.py fails CI when a field here is read
+// nowhere in src/.
 
 #ifndef OIB_COMMON_OPTIONS_H_
 #define OIB_COMMON_OPTIONS_H_
@@ -13,32 +23,9 @@ namespace oib {
 
 struct Options {
   // --- storage ---
+  // At most 32 KiB: slotted pages store record offsets as 15-bit values.
   size_t page_size = 4096;
   size_t buffer_pool_pages = 4096;  // 16 MiB at default page size.
-  // Buffer-pool shards (power of two).  Each shard owns a slice of the
-  // frames with its own mutex, page table, free list, and CLOCK hand, so
-  // concurrent fetches on different pages never serialize on one lock.
-  // 0 = auto: min(16, hardware_concurrency), capped so that every shard
-  // keeps at least kMinPagesPerShard frames.
-  size_t buffer_pool_shards = 0;
-
-  // --- write-ahead log ---
-  // Capacity of the WAL append ring buffer (power of two).  Appenders
-  // reserve space with one fetch-add and copy outside any lock; the ring
-  // is drained into the log's backing store by Flush (group commit) or by
-  // an appender that finds it full.  Must exceed the largest single log
-  // record (a record spanning a full page plus framing fits comfortably
-  // at the 1 MiB default).
-  size_t wal_ring_bytes = 1 << 20;
-
-  // --- recovery ---
-  // Worker threads for the restart redo phase.  1 replays the log on the
-  // calling thread (analysis and redo share one forward pass); N > 1
-  // first collects redo work during analysis, then partitions it by
-  // page id across N workers — per-page LSN order is preserved because a
-  // page's records all land in the same partition, and multi-page records
-  // (B+-tree splits, root growth) act as barriers applied serially.
-  size_t recovery_threads = 1;
 
   // --- fault injection ---
   // Failpoint spec applied at Engine::Open/Restart (see
@@ -72,8 +59,6 @@ struct Options {
   // Keys per IB progress checkpoint ("periodically checkpoint the highest
   // key", sections 2.2.3 / 3.2.4); 0 disables IB checkpoints.
   size_t ib_checkpoint_every_keys = 100000;
-  // Pages read per simulated sequential-prefetch I/O (section 2.2.2).
-  size_t ib_prefetch_pages = 32;
   // Sort-phase checkpoint interval, in extracted keys (section 5.1);
   // 0 disables sort checkpoints.
   size_t sort_checkpoint_every_keys = 100000;
@@ -89,12 +74,6 @@ struct Options {
   // whole build on the calling thread (deterministic, seed-equivalent);
   // N > 1 splits the heap chain into N page ranges scanned concurrently.
   size_t build_threads = 1;
-  // Sorted items handed from the final merge to the consumer (bulk loader
-  // / IbInsertBatch) per batch; also the consumer's checkpoint grain.
-  size_t merge_batch_keys = 1024;
-  // Bounded merge->consumer queue depth when the merge runs on its own
-  // thread (build_threads > 1).  2 = classic double buffering.
-  size_t merge_queue_depth = 2;
 
   // --- hash fast path ---
   // Maintains a sharded hash table over <normalized key -> RID> next to

@@ -293,7 +293,7 @@ Status BuildPipeline::MergeToConsumer(
     }
   } else {
     obs::Gauge* depth_gauge =
-        obs::MetricsRegistry::Default().GetGauge("build.merge_queue_depth");
+        obs::MetricsRegistry::Default().GetGauge("build.merge_queued");
     // The consumer drains batches under page latches' *callers* — but
     // consume() always runs with mu released, so the queue mutex leads a
     // leaf-free life; rank kMergeQueue only orders it against the plan

@@ -129,10 +129,16 @@ class BuildPipeline {
     double consume_busy_ms = 0.0;
   };
 
+  // What the builders pass to MergeToConsumer: sorted items per batch
+  // (also the consumer's checkpoint grain) and, when the merge runs on its
+  // own thread, batches in flight (2 = classic double buffering).
+  static constexpr size_t kMergeBatchKeys = 1024;
+  static constexpr size_t kMergeQueueDepth = 2;
+
   // Streams `cursor` into `consume` in batches of `batch_keys` items.
   // When `overlapped`, the merge runs on a producer thread behind a
-  // bounded queue of `queue_depth` batches (gauge
-  // "build.merge_queue_depth"); `consume` always runs on the calling
+  // bounded queue of `queue_depth` batches (gauge "build.merge_queued"
+  // holds the current occupancy); `consume` always runs on the calling
   // thread.  The first non-OK status from either side stops the pipeline
   // and is returned.
   static Status MergeToConsumer(

@@ -55,8 +55,7 @@ StatusOr<std::unique_ptr<Env>> Env::OnFiles(const std::string& dir,
 Engine::Engine(const Options& options, Env* env)
     : options_(options),
       env_(env),
-      pool_(env->disk.get(), options.buffer_pool_pages,
-            options.buffer_pool_shards),
+      pool_(env->disk.get(), options.buffer_pool_pages),
       locks_(options.lock_timeout_ms),
       txns_(&env->log, &locks_, &rms_),
       heap_rm_(&pool_, &txns_),
@@ -91,7 +90,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const Options& options,
                                                Env* env) {
   OIB_RETURN_IF_ERROR(ValidateOptions(options));
   ConfigureFailpoints(options);
-  OIB_RETURN_IF_ERROR(env->log.ConfigureRing(options.wal_ring_bytes));
   auto engine = std::unique_ptr<Engine>(new Engine(options, env));
   engine->WireUp();
   return engine;
@@ -103,7 +101,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
   const uint64_t t_open = obs::MonotonicNanos();
   OIB_RETURN_IF_ERROR(ValidateOptions(options));
   ConfigureFailpoints(options);
-  OIB_RETURN_IF_ERROR(env->log.ConfigureRing(options.wal_ring_bytes));
   auto engine = std::unique_ptr<Engine>(new Engine(options, env));
   engine->WireUp();
 
@@ -121,8 +118,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
   RecoveryStats local;
   if (stats == nullptr) stats = &local;
   const uint64_t open_ns = obs::MonotonicNanos() - t_open;
-  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_,
-                           options.recovery_threads);
+  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_);
   std::vector<std::pair<TxnId, Lsn>> losers;
   {
     obs::ScopedSpan span(&obs::Tracer::Default(), "recovery.analysis_redo");

@@ -136,8 +136,9 @@ Status OfflineIndexBuilder::Build(const BuildParams& params, IndexId* out,
   BuildPipeline::MergeStats merge_stats;
   {
     Status s = BuildPipeline::MergeToConsumer(
-        cursor->get(), options.merge_batch_keys, options.merge_queue_depth,
-        options.build_threads > 1, consume, &merge_stats);
+        cursor->get(), BuildPipeline::kMergeBatchKeys,
+        BuildPipeline::kMergeQueueDepth, options.build_threads > 1, consume,
+        &merge_stats);
     if (!s.ok()) {
       // Rollback latches pages and takes txn-level mutexes; the loader's
       // open leaf/level latches must go first.

@@ -496,8 +496,9 @@ Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
   };
   BuildPipeline::MergeStats merge_stats;
   Status s = BuildPipeline::MergeToConsumer(
-      cursor->get(), options_.merge_batch_keys, options_.merge_queue_depth,
-      options_.build_threads > 1, consume, &merge_stats);
+      cursor->get(), BuildPipeline::kMergeBatchKeys,
+      BuildPipeline::kMergeQueueDepth, options_.build_threads > 1, consume,
+      &merge_stats);
   if (!s.ok()) {
     if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
     // Rollback latches pages and takes txn-level mutexes; the loader's

@@ -59,25 +59,6 @@ void LogManager::AttachMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterHistogram("wal.flush_ns", &flush_ns_, this);
 }
 
-Status LogManager::ConfigureRing(size_t ring_bytes) {
-  if (ring_bytes < 2 * kFrameHeader || (ring_bytes & (ring_bytes - 1)) != 0) {
-    return Status::InvalidArgument("wal ring size must be a power of two");
-  }
-  sync::MutexLock fl(&flush_mu_);
-  sync::MutexLock dg(&drain_mu_);
-  // Empty the old ring into the segments first (does not flush:
-  // drained bytes stay volatile until Flush moves the boundary).  Callers
-  // guarantee no concurrent appenders, so every reservation is sealed and
-  // this terminates.
-  DrainUntilLocked(reserved_.load(std::memory_order_acquire));
-  if (ring_bytes != ring_.size()) {
-    ring_.assign(ring_bytes, 0);
-    ring_.shrink_to_fit();
-    ring_mask_ = ring_bytes - 1;
-  }
-  return Status::OK();
-}
-
 Status LogManager::AttachFile(const std::string& path) {
   sync::MutexLock fl(&flush_mu_);
   sync::MutexLock dg(&drain_mu_);
@@ -277,7 +258,7 @@ Status LogManager::Append(LogRecord* rec) {
   rec->SerializeTo(&payload);
   const uint64_t size = kFrameHeader + payload.size();
   if (size > ring_.size()) {
-    return Status::InvalidArgument("log record exceeds wal_ring_bytes");
+    return Status::InvalidArgument("log record exceeds the WAL ring");
   }
 
   // 1. Reserve: one fetch-add claims the byte range and the LSN.

@@ -74,6 +74,9 @@ struct LogStats {
 
 class LogManager {
  public:
+  // Append ring capacity (power of two).  It must exceed the largest
+  // single log record; a record spanning a full page plus framing fits
+  // comfortably.
   static constexpr size_t kDefaultRingBytes = 1 << 20;
   // Drained log bytes live in segments of this size (see file comment).
   static constexpr size_t kSegmentBytes = 1 << 20;
@@ -83,11 +86,6 @@ class LogManager {
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
-
-  // Resizes the append ring (power of two).  Called at Engine::Open /
-  // Restart, i.e. with no concurrent appenders; any bytes still in the
-  // ring are drained (not flushed) first.
-  Status ConfigureRing(size_t ring_bytes);
 
   // Attaches a log file sink.  Must be called on an empty log (before any
   // Append).  Loads the file, validates every frame's length and CRC, and
@@ -216,8 +214,8 @@ class LogManager {
   std::atomic<uint64_t> seal_seq_{0};  // seal tickets issued
   std::atomic<uint64_t> drained_{0};   // bytes moved ring -> segments_
   std::atomic<uint64_t> flushed_{0};   // durable boundary (bytes)
-  std::vector<char> ring_;
-  size_t ring_mask_ = 0;
+  std::vector<char> ring_;  // fixed size (power of two) from construction
+  const size_t ring_mask_;
   std::vector<SealSlot> slots_;
 
   // --- drain state ---

@@ -8,16 +8,6 @@
 // record carrying the active-transaction table and that redo start, and
 // stores the record's LSN in disk metadata.
 //
-// With redo_threads > 1 the pass splits in two: analysis collects the
-// redo work list, then workers replay it partitioned by page id.  All of
-// a page's records hash to the same partition, so per-page LSN order is
-// untouched; records whose redo spans pages (ResourceManager::
-// RedoPageSet returns > 1 — B+-tree splits and root growth) are barriers:
-// every partition finishes the records before them, the barrier record is
-// applied serially, and the partitions resume.  Page-LSN guards keep the
-// replay idempotent either way, so single- and multi-threaded redo
-// produce identical pages.
-//
 // This is the machinery the paper leans on when it argues that logging by
 // IB (NSF) or during side-file processing (SF) leaves the index
 // "structurally consistent after restart" (sections 2.2.3, 3.2.4).
@@ -39,18 +29,16 @@ struct RecoveryStats {
   uint64_t records_scanned = 0;
   uint64_t records_redone = 0;
   uint64_t loser_txns = 0;
-  // Redo parallelism actually used and the serial barriers hit
-  // (multi-page records; see file comment).
-  size_t redo_threads = 1;
-  uint64_t redo_barriers = 0;
   // Wall-clock, in Engine::Restart order: engine construction and the
-  // master-LSN read (open); the analysis scan (which includes redo itself
-  // when redo_threads == 1, collection only otherwise); the partitioned
-  // replay (0 when serial); re-opening catalog objects (catalog_load:
-  // heap chains, trees, hash repopulation, side-files); re-registering
-  // interrupted builds (reattach); and loser rollback.
+  // master-LSN read (open); the forward analysis pass, redo included;
+  // re-opening catalog objects (catalog_load: heap chains, trees, hash
+  // repopulation, side-files); re-registering interrupted builds
+  // (reattach); and loser rollback.
   uint64_t open_ns = 0;
   uint64_t analysis_ns = 0;
+  // Always 0: redo runs inside the analysis pass and is counted in
+  // analysis_ns.  Kept only because perfbench reports it as
+  // recovery.redo_ms.
   uint64_t redo_ns = 0;
   uint64_t catalog_load_ns = 0;
   uint64_t reattach_ns = 0;
@@ -71,12 +59,8 @@ Status DecodeCheckpointPayload(const std::string& payload,
 
 class RecoveryManager {
  public:
-  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms,
-                  size_t redo_threads = 1)
-      : log_(log),
-        txns_(txns),
-        rms_(rms),
-        redo_threads_(redo_threads > 0 ? redo_threads : 1) {}
+  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms)
+      : log_(log), txns_(txns), rms_(rms) {}
 
   // Phase 1+2: analysis and redo in one forward pass.  `checkpoint_lsn` is
   // the LSN of the last sharp checkpoint record, or kInvalidLsn to scan the
@@ -92,14 +76,9 @@ class RecoveryManager {
                     RecoveryStats* stats = nullptr);
 
  private:
-  // Replays `recs` across redo_threads_ partitions (see file comment).
-  Status ApplyRedoPartitioned(const std::vector<LogRecord>& recs,
-                              RecoveryStats* stats);
-
   LogManager* log_;
   TransactionManager* txns_;
   RmRegistry* rms_;
-  size_t redo_threads_;
 };
 
 }  // namespace oib

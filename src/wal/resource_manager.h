@@ -10,7 +10,6 @@
 #define OIB_WAL_RESOURCE_MANAGER_H_
 
 #include <array>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -32,17 +31,6 @@ class ResourceManager {
   // Reverses `rec`'s effect on behalf of `txn`, writing a CLR whose
   // undo_next_lsn is rec.prev_lsn.
   virtual Status Undo(Transaction* txn, const LogRecord& rec) = 0;
-
-  // Pages a redo of `rec` would touch.  Parallel restart redo partitions
-  // single-page records by page id (per-page LSN order is preserved) and
-  // applies multi-page records as serial barriers, so RMs whose redo
-  // spans pages must override this.  Decode failures may be reported
-  // conservatively by returning OK with >1 page (forcing a barrier, where
-  // Redo itself will surface the error).
-  virtual void RedoPageSet(const LogRecord& rec, std::vector<PageId>* out) {
-    out->clear();
-    out->push_back(rec.page_id);
-  }
 };
 
 class RmRegistry {

@@ -34,20 +34,6 @@ TEST_F(OptionsTest, RejectsZeroBuildThreads) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
-TEST_F(OptionsTest, RejectsZeroMergeBatch) {
-  Options options;
-  options.merge_batch_keys = 0;
-  Status s = ValidateOptions(options);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-}
-
-TEST_F(OptionsTest, RejectsZeroMergeQueueDepth) {
-  Options options;
-  options.merge_queue_depth = 0;
-  Status s = ValidateOptions(options);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-}
-
 TEST_F(OptionsTest, RejectsZeroSortWorkspace) {
   Options options;
   options.sort_workspace_keys = 0;
@@ -60,6 +46,22 @@ TEST_F(OptionsTest, RejectsTinyPageSize) {
   options.page_size = 64;
   Status s = ValidateOptions(options);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+// Slotted pages address at most 32 KiB; a larger page would corrupt the
+// heap (a segfault or a double free under Workload::Populate) instead of
+// failing at Open.
+TEST_F(OptionsTest, RejectsOversizedPageSize) {
+  Options options;
+  options.page_size = 32768;
+  EXPECT_OK(ValidateOptions(options));
+  for (size_t page_size : {40960ul, 65536ul}) {
+    options.page_size = page_size;
+    Status s = TryOpen(options);
+    EXPECT_TRUE(s.IsInvalidArgument()) << page_size << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find("page_size"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST_F(OptionsTest, RejectsBadFanin) {
@@ -79,22 +81,12 @@ TEST_F(OptionsTest, RejectsBadFillFactor) {
 
 TEST_F(OptionsTest, RejectsNonPowerOfTwoShards) {
   Options options;
-  options.buffer_pool_shards = 3;
+  options.hash_index_shards = 3;
   Status s = ValidateOptions(options);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  options.buffer_pool_shards = 8;
+  options.hash_index_shards = 8;
   EXPECT_OK(ValidateOptions(options));
-  options.buffer_pool_shards = 0;  // auto
-  EXPECT_OK(ValidateOptions(options));
-}
-
-TEST_F(OptionsTest, RejectsBadWalRing) {
-  Options options;
-  options.wal_ring_bytes = 1000;  // not a power of two
-  EXPECT_TRUE(ValidateOptions(options).IsInvalidArgument());
-  options.wal_ring_bytes = 4096;  // too small
-  EXPECT_TRUE(ValidateOptions(options).IsInvalidArgument());
-  options.wal_ring_bytes = 1 << 17;
+  options.hash_index_shards = 0;  // auto
   EXPECT_OK(ValidateOptions(options));
 }
 
