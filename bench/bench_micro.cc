@@ -1,15 +1,37 @@
 // Substrate micro-benchmarks (google-benchmark): B+-tree point ops, IB
 // batch inserts, external sort, WAL appends, heap record ops, side-file
-// appends, lock acquisition.
+// appends, lock acquisition.  This binary also replaces the global
+// operator new with a counting one, so the point-lookup report can state
+// how many heap allocations an end-to-end update and point read make.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "bench/bench_util.h"
 #include "common/key.h"
 #include "hashidx/hash_index.h"
 #include "sort/external_sorter.h"
+
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// The counting allocator: every other new/delete form of the standard
+// library routes through these.  Kept out of line so the compiler does
+// not pair an inlined free() with a new-expression.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace oib {
 namespace bench {
@@ -271,11 +293,14 @@ void WritePointLookupReport() {
                                Workload::MakeKey(n + rng.Uniform(n), 12));
   }
 
-  auto add_row = [&report](const char* label, double ms, uint64_t ops) {
+  auto add_row = [&report](const char* label, double ms, uint64_t ops,
+                           std::vector<std::pair<std::string, double>>
+                               extra = {}) {
     double ns_per_op = 1e6 * ms / static_cast<double>(ops);
     std::printf("  %-24s %10.1f ns/op\n", label, ns_per_op);
-    report.AddRow(label, {{"ns_per_op", ns_per_op},
-                          {"lookups", static_cast<double>(ops)}});
+    extra.insert(extra.begin(), {{"ns_per_op", ns_per_op},
+                                 {"lookups", static_cast<double>(ops)}});
+    report.AddRow(label, std::move(extra));
   };
 
   for (bool with_hash : {true, false}) {
@@ -325,9 +350,45 @@ void WritePointLookupReport() {
         txn = w.engine->Begin();
       }
     }
-    add_row(with_hash ? "read_by_key_hash_on" : "read_by_key_hash_off",
-            NowMs() - t0, lookups);
+    const double read_ms = NowMs() - t0;
     (void)w.engine->Commit(txn);
+
+    // Heap allocations per end-to-end point read and per update that
+    // changes the indexed key, counted outside the timed loop.  Records
+    // are encoded first so only the record operations are counted.
+    const uint64_t counted = std::min<uint64_t>(lookups, 4096);
+    std::vector<std::string> recs(counted);
+    for (uint64_t i = 0; i < counted; ++i) {
+      recs[i] = Workload::MakeRecord(Workload::MakeKey(2 * n + i, 12), 32,
+                                     &rng);
+    }
+    uint64_t read_allocs = 0, update_allocs = 0;
+    txn = w.engine->Begin();
+    for (uint64_t i = 0; i < counted; ++i) {
+      uint64_t a0 = g_allocations.load(std::memory_order_relaxed);
+      auto r = w.engine->records()->ReadRecordByKey(txn, w.table, idx,
+                                                    hit_keys[i]);
+      read_allocs += g_allocations.load(std::memory_order_relaxed) - a0;
+      benchmark::DoNotOptimize(r.ok());
+    }
+    for (uint64_t i = 0; i < counted; ++i) {
+      uint64_t a0 = g_allocations.load(std::memory_order_relaxed);
+      Status s = w.engine->records()->UpdateRecord(
+          txn, w.table, w.rids[i % w.rids.size()], recs[i]);
+      update_allocs += g_allocations.load(std::memory_order_relaxed) - a0;
+      if (!s.ok()) std::abort();
+    }
+    (void)w.engine->Commit(txn);
+    const double per_read =
+        static_cast<double>(read_allocs) / static_cast<double>(counted);
+    const double per_update =
+        static_cast<double>(update_allocs) / static_cast<double>(counted);
+    add_row(with_hash ? "read_by_key_hash_on" : "read_by_key_hash_off",
+            read_ms, lookups,
+            {{"allocs_per_point_read", per_read},
+             {"allocs_per_update", per_update}});
+    std::printf("  %-24s %10.2f allocs/read %6.2f allocs/update\n", "",
+                per_read, per_update);
   }
   report.Write();
 }

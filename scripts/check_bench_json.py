@@ -76,8 +76,10 @@ REQUIRED_SCENARIO_ROWS = {
         "hash_probe_miss": [],
         "tree_descend_hit": [],
         "tree_descend_miss": [],
-        "read_by_key_hash_on": [],
-        "read_by_key_hash_off": [],
+        "read_by_key_hash_on": ["allocs_per_point_read",
+                                "allocs_per_update"],
+        "read_by_key_hash_off": ["allocs_per_point_read",
+                                 "allocs_per_update"],
     },
 }
 

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/coding.h"
+#include "common/failpoint.h"
 
 namespace oib {
 
@@ -548,6 +549,10 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
       }
       n = leaf.count();
       pos = leaf.LowerBound(key, rid);
+      // The exact entry needs no room: a transaction inserted it while IB
+      // re-descended, and IB's caller rejects the duplicate.  An IB split
+      // at it would move it to the right page, again and again.
+      if (pos < n && leaf.CompareEntryAt(pos, key, rid) == 0) has_room = true;
     }
     if (has_room) return Status::OK();
 
@@ -929,8 +934,10 @@ Status BTree::IbInsertBatch(Transaction* txn,
         // The leaf filled up under this descent, invalidating the
         // released-safe-ancestors invariant (path may be just [leaf]).
         // Re-descend with the leaf now full so the unsafe path is
-        // retained, then split.
+        // retained, then split.  No latch is held in between, so a
+        // transaction may insert this very entry first.
         path.clear();
+        OIB_FAIL_POINT("btree.ib_split");
         OIB_RETURN_IF_ERROR(DescendPessimistic(k.key, k.rid, k.key.size(),
                                                &path, /*ib_mode=*/true));
         if (stats != nullptr) ++stats->descents;

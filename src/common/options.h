@@ -8,7 +8,8 @@
 // second values so multi-shard hashing, multi-pass merging and lock waits
 // run on any core count.  Everything with a single value in use is a
 // named constant next to the code that uses it (the WAL ring size, the
-// buffer-pool shard count, the merge->consumer batch and queue depth).
+// buffer-pool shard count, the merge->consumer batch and queue depth) or,
+// like the failpoint seed, comes from the environment (OIB_FAILPOINT_SEED).
 // scripts/check_options_used.py fails CI when a field here is read
 // nowhere in src/.
 
@@ -31,10 +32,10 @@ struct Options {
   // Failpoint spec applied at Engine::Open/Restart (see
   // FailPointRegistry::ConfigureFromSpec for the grammar); empty = none.
   // The OIB_FAILPOINTS / OIB_FAILPOINT_SEED environment variables are
-  // applied on top, so a harness can inject faults into any binary.
+  // applied on top, so a harness can inject faults into any binary; the
+  // seed of probability draws comes only from OIB_FAILPOINT_SEED (or
+  // FailPointRegistry::SetSeed).
   std::string failpoints;
-  // Seed for failpoint probability draws (reproducible crash schedules).
-  uint64_t failpoint_seed = 0;
 
   // --- locking ---
   // Milliseconds a lock request waits before the requester is told to

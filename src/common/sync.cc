@@ -15,7 +15,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kTxnActive:      return "TxnActive";
     case LockRank::kPageLatch:      return "PageLatch";
     case LockRank::kBufferShard:    return "BufferShard";
-    case LockRank::kRecordBuilds:   return "RecordBuilds";
     case LockRank::kCatalog:        return "Catalog";
     case LockRank::kHashShard:      return "HashShard";
     case LockRank::kHeapHints:      return "HeapHints";

@@ -119,9 +119,8 @@ enum class LockRank : uint16_t {
   kPageLatch = 60,       // Page::latch_ — NESTABLE (crabbing)
   kBufferShard = 70,     // BufferPool Shard::mu (evict flushes WAL + disk
                          // under it; acquired under a parent page latch)
-  kRecordBuilds = 80,    // RecordManager::builds_mu_ (build registry)
-  kCatalog = 90,         // Catalog::mu_ (persist flushes WAL + disk under it;
-                         // acquired under a data-page latch by PlanFor)
+  kCatalog = 90,         // Catalog::mu_ (DDL; persist flushes WAL + disk
+                         // under it; never latches a page)
   kHashShard = 95,       // HashIndex Shard::mu (probe/mirror; mirrored under
                          // a leaf page latch, probed with no latch held)
   kHeapHints = 100,      // HeapFile::hints_mu_ (under a page latch)
@@ -143,7 +142,7 @@ const char* LockRankName(LockRank rank);
 
 // Dense 0-based index used by the per-rank lock-contention profiler
 // (obs/lock_profile.cc).  Keep in sync with the enum above.
-inline constexpr int kNumLockRanks = 21;
+inline constexpr int kNumLockRanks = 20;
 constexpr int LockRankIndex(LockRank rank) {
   switch (rank) {
     case LockRank::kBuildPlan:      return 0;
@@ -153,20 +152,19 @@ constexpr int LockRankIndex(LockRank rank) {
     case LockRank::kTxnActive:      return 4;
     case LockRank::kPageLatch:      return 5;
     case LockRank::kBufferShard:    return 6;
-    case LockRank::kRecordBuilds:   return 7;
-    case LockRank::kCatalog:        return 8;
-    case LockRank::kHashShard:      return 9;
-    case LockRank::kHeapHints:      return 10;
-    case LockRank::kSideFileCount:  return 11;
-    case LockRank::kLockTable:      return 12;
-    case LockRank::kWalFlush:       return 13;
-    case LockRank::kWalDrain:       return 14;
-    case LockRank::kRunStore:       return 15;
-    case LockRank::kMergeQueue:     return 16;
-    case LockRank::kDisk:           return 17;
-    case LockRank::kFailPoint:      return 18;
-    case LockRank::kStatsSampler:   return 19;
-    case LockRank::kObs:            return 20;
+    case LockRank::kCatalog:        return 7;
+    case LockRank::kHashShard:      return 8;
+    case LockRank::kHeapHints:      return 9;
+    case LockRank::kSideFileCount:  return 10;
+    case LockRank::kLockTable:      return 11;
+    case LockRank::kWalFlush:       return 12;
+    case LockRank::kWalDrain:       return 13;
+    case LockRank::kRunStore:       return 14;
+    case LockRank::kMergeQueue:     return 15;
+    case LockRank::kDisk:           return 16;
+    case LockRank::kFailPoint:      return 17;
+    case LockRank::kStatsSampler:   return 18;
+    case LockRank::kObs:            return 19;
   }
   return 0;
 }

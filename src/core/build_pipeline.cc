@@ -16,16 +16,6 @@
 
 namespace oib {
 
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 std::string EncodeScanPlan(const ScanPlan& plan) {
   std::string out;
   PutFixed32(&out, plan.stop_page);

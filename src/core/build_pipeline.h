@@ -25,6 +25,7 @@
 #ifndef OIB_CORE_BUILD_PIPELINE_H_
 #define OIB_CORE_BUILD_PIPELINE_H_
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,6 +36,13 @@
 #include "sort/external_sorter.h"
 
 namespace oib {
+
+// Wall-clock milliseconds since `t0`: every builder stage timer.
+inline double MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 namespace obs {
 class Tracer;

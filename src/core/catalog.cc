@@ -1,8 +1,11 @@
 #include "core/catalog.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/failpoint.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace oib {
 
@@ -28,14 +31,20 @@ Status LoadHeapChains(DiskManager* disk,
   return Status::OK();
 }
 
+// NSF trees know whether IB is active (BTree::set_ib_active): while it is,
+// undoing a key insert pseudo-deletes (section 2.2.3).
+void MarkIbActive(const ActiveBuild& build, bool active) {
+  if (build.algo != BuildAlgo::kNsf) return;
+  for (const IndexRef& ix : build.indexes) ix.tree->set_ib_active(active);
+}
+
 }  // namespace
 
-// Lock ordering: update transactions acquire mu_ (via IndexesOf in
-// RecordManager::PlanFor) while holding heap page latches, so the catalog
-// must never take a page latch while holding mu_.  Mutators therefore
-// reserve the name/id under mu_, release it for the page-latching
-// Create()/Open() work (the new object's pages are private to this thread
-// until published), then re-acquire mu_ to publish and persist.
+// Lock ordering: the catalog never takes a page latch while holding mu_
+// (rank kCatalog > kPageLatch).  Mutators therefore reserve the name/id
+// under mu_, release it for the page-latching Create()/Open() work (the
+// new object's pages are private to this thread until published), then
+// re-acquire mu_ to publish and persist.
 
 StatusOr<TableId> Catalog::CreateTable(const std::string& name) {
   TableId id;
@@ -43,6 +52,9 @@ StatusOr<TableId> Catalog::CreateTable(const std::string& name) {
     sync::MutexLock g(&mu_);
     for (const auto& [tid, info] : tables_) {
       if (info.name == name) return Status::InvalidArgument("table exists");
+    }
+    if (next_table_id_ >= kMaxTables) {
+      return Status::InvalidArgument("table limit reached");
     }
     id = next_table_id_++;
   }
@@ -57,13 +69,49 @@ StatusOr<TableId> Catalog::CreateTable(const std::string& name) {
   heaps_[id] = std::move(heap);
   table_indexes_[id];
   OIB_RETURN_IF_ERROR(PersistLocked());
+  PublishLocked(id, nullptr);
   return id;
 }
 
 HeapFile* Catalog::table(TableId id) const {
-  sync::MutexLock g(&mu_);
-  auto it = heaps_.find(id);
-  return it == heaps_.end() ? nullptr : it->second.get();
+  const TableView* v = view(id);
+  return v == nullptr ? nullptr : v->heap;
+}
+
+const TableView* Catalog::view(TableId table) const {
+  if (table >= kMaxTables) return nullptr;
+  return views_[table].load(std::memory_order_acquire);
+}
+
+IndexRef Catalog::RefLocked(const IndexDescriptor& d) const {
+  IndexRef ix;
+  ix.id = d.id;
+  ix.tree = trees_.at(d.id).get();
+  auto sf = side_files_.find(d.id);
+  if (sf != side_files_.end()) ix.side_file = sf->second.get();
+  auto hash = hashes_.find(d.id);
+  if (hash != hashes_.end()) ix.hash = hash->second.get();
+  ix.unique = d.unique;
+  ix.key_cols = d.key_cols;
+  ix.key_types = d.key_types;
+  return ix;
+}
+
+void Catalog::PublishLocked(TableId table,
+                            std::shared_ptr<ActiveBuild> build) {
+  auto view = std::make_unique<TableView>();
+  view->heap = heaps_.at(table).get();
+  for (IndexId id : table_indexes_[table]) {
+    const IndexDescriptor& d = indexes_.at(id);
+    if (d.state == IndexState::kReady) view->ready.push_back(RefLocked(d));
+  }
+  view->build = std::move(build);
+  const TableView* old =
+      views_[table].exchange(view.get(), std::memory_order_acq_rel);
+  if (old != nullptr && old->build != nullptr && old->build != view->build) {
+    MarkIbActive(*old->build, false);
+  }
+  published_.push_back(std::move(view));
 }
 
 StatusOr<TableId> Catalog::TableByName(const std::string& name) const {
@@ -141,30 +189,71 @@ StatusOr<IndexDescriptor> Catalog::CreateIndex(
   return d;
 }
 
-Status Catalog::SetIndexReady(IndexId id) {
+StatusOr<std::shared_ptr<ActiveBuild>> Catalog::BeginBuild(
+    TableId table, BuildAlgo algo, const std::vector<IndexId>& ids) {
   sync::MutexLock g(&mu_);
-  auto it = indexes_.find(id);
-  if (it == indexes_.end()) return Status::NotFound("no such index");
-  auto hit = hashes_.find(id);
-  if (hit != hashes_.end()) {
-    // Publish the hash fragment together with the index state flip; a
-    // crash here leaves the index kBuilding, so the resumed build's
-    // repopulation + retry covers the fragment too.
-    OIB_FAIL_POINT("hash.commit");
-    hit->second->set_readable(true);
+  if (tables_.find(table) == tables_.end()) {
+    return Status::NotFound("no such table");
   }
-  it->second.state = IndexState::kReady;
-  it->second.algo = BuildAlgo::kNone;
-  return PersistLocked();
+  if (views_[table].load()->build != nullptr) {
+    return Status::Busy("the table has an active build");
+  }
+  if (ids.empty()) return Status::InvalidArgument("a build needs an index");
+  auto build = std::make_shared<ActiveBuild>();
+  build->algo = algo;
+  build->start_ns = obs::MonotonicNanos();
+  for (IndexId id : ids) {
+    auto it = indexes_.find(id);
+    if (it == indexes_.end() || it->second.table != table ||
+        it->second.state != IndexState::kBuilding) {
+      return Status::InvalidArgument("not a building index of this table");
+    }
+    build->indexes.push_back(RefLocked(it->second));
+  }
+  MarkIbActive(*build, true);
+  PublishLocked(table, build);
+  return build;
+}
+
+Status Catalog::FinishBuild(TableId table) {
+  sync::MutexLock g(&mu_);
+  const TableView* current = view(table);
+  if (current == nullptr || current->build == nullptr) {
+    return Status::NotFound("no build in progress");
+  }
+  for (const IndexRef& ix : current->build->indexes) {
+    if (ix.hash != nullptr) {
+      // Publish the hash fragment together with the index state flip; a
+      // crash here leaves the index kBuilding, so the resumed build's
+      // repopulation + retry covers the fragment too.
+      OIB_FAIL_POINT("hash.commit");
+      ix.hash->set_readable(true);
+    }
+    IndexDescriptor& d = indexes_.at(ix.id);
+    d.state = IndexState::kReady;
+    d.algo = BuildAlgo::kNone;
+  }
+  OIB_RETURN_IF_ERROR(PersistLocked());
+  PublishLocked(table, nullptr);
+  return Status::OK();
 }
 
 Status Catalog::DropIndex(IndexId id) {
   sync::MutexLock g(&mu_);
   auto it = indexes_.find(id);
   if (it == indexes_.end()) return Status::NotFound("no such index");
-  auto& order = table_indexes_[it->second.table];
+  const TableId table = it->second.table;
+  auto& order = table_indexes_[table];
   order.erase(std::remove(order.begin(), order.end(), id), order.end());
   indexes_.erase(it);
+  // Publish the view without the index before its objects die.
+  std::shared_ptr<ActiveBuild> build = views_[table].load()->build;
+  if (build != nullptr &&
+      std::any_of(build->indexes.begin(), build->indexes.end(),
+                  [id](const IndexRef& ix) { return ix.id == id; })) {
+    build = nullptr;
+  }
+  PublishLocked(table, std::move(build));
   // Detach the hash mirror before the tree or the fragment dies: a
   // cancelled build's fragment must not dangle as the tree's observer.
   auto tit = trees_.find(id);
@@ -263,11 +352,6 @@ Status Catalog::PersistLocked() {
   return disk_->PutMeta(kCatalogMetaKey, blob);
 }
 
-Status Catalog::Persist() {
-  sync::MutexLock g(&mu_);
-  return PersistLocked();
-}
-
 std::string Catalog::SnapshotHeapChains() const {
   sync::MutexLock g(&mu_);
   std::string blob;
@@ -314,7 +398,7 @@ Status Catalog::Load() {
   for (uint32_t i = 0; i < n_tables; ++i) {
     TableInfo info;
     if (!r.GetFixed32(&info.id) || !r.GetLengthPrefixed(&info.name) ||
-        !r.GetFixed32(&info.first_page)) {
+        !r.GetFixed32(&info.first_page) || info.id >= kMaxTables) {
       return Status::Corruption("catalog table entry");
     }
     tables[info.id] = info;
@@ -404,6 +488,9 @@ Status Catalog::Load() {
   side_files_ = std::move(side_files);
   hashes_ = std::move(hashes);
   table_indexes_ = std::move(table_indexes);
+  // Interrupted builds are published afterwards, by
+  // ReattachInterruptedBuilds.
+  for (const auto& [id, info] : tables_) PublishLocked(id, nullptr);
   return Status::OK();
 }
 

@@ -19,7 +19,6 @@ constexpr char kMasterLsnKey[] = "master_lsn";
 // driving a stock binary needs.
 void ConfigureFailpoints(const Options& options) {
   FailPointRegistry& reg = FailPointRegistry::Instance();
-  if (options.failpoint_seed != 0) reg.SetSeed(options.failpoint_seed);
   if (!options.failpoints.empty()) {
     Status s = reg.ConfigureFromSpec(options.failpoints);
     if (!s.ok()) {
@@ -129,8 +128,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
     uint64_t t0 = obs::MonotonicNanos();
     OIB_RETURN_IF_ERROR(engine->catalog_.Load());
     stats->catalog_load_ns = obs::MonotonicNanos() - t0;
-    // Interrupted index builds re-attach before undo, so that rollback of
-    // loser transactions sees the Index_Build flag and scan position.
+    // Interrupted index builds are re-published before undo, so that
+    // rollback of loser transactions sees the build and its scan position.
     t0 = obs::MonotonicNanos();
     OIB_RETURN_IF_ERROR(ReattachInterruptedBuilds(engine.get()));
     stats->reattach_ns = obs::MonotonicNanos() - t0;
@@ -145,18 +144,18 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
 
 obs::BuildProgress Engine::GetBuildProgress(TableId table) {
   obs::BuildProgress p;
-  std::shared_ptr<ActiveBuild> build = records_.GetBuild(table);
-  if (build == nullptr) return p;
-  p.active = build->index_build.load(std::memory_order_relaxed);
-  p.algo = build->algo == BuildAlgo::kSf
-               ? "sf"
-               : (build->algo == BuildAlgo::kNsf ? "nsf" : "none");
+  const TableView* view = catalog_.view(table);
+  if (view == nullptr || view->build == nullptr) return p;
+  const ActiveBuild* build = view->build.get();
+  p.active = true;
+  p.algo = build->algo == BuildAlgo::kSf    ? "sf"
+           : build->algo == BuildAlgo::kNsf ? "nsf"
+                                            : "offline";
   p.phase =
       static_cast<obs::BuildPhase>(build->phase.load(std::memory_order_relaxed));
   Rid cur = build->CurrentRid();
   p.current_rid = PackRid(cur);
-  HeapFile* heap = catalog_.table(table);
-  p.table_tail_page = heap != nullptr ? heap->tail_page() : 0;
+  p.table_tail_page = view->heap->tail_page();
   if (cur == Rid::Infinity() || p.phase > obs::BuildPhase::kScan) {
     // Scan finished (or this is an NSF build past its scan).
     p.scan_page = p.table_tail_page;
@@ -171,8 +170,8 @@ obs::BuildProgress Engine::GetBuildProgress(TableId table) {
   }
   p.keys_done = build->keys_done.load(std::memory_order_relaxed);
   // Through the catalog: a cancelled build's side-files are dropped.
-  for (const InBuildIndex& ib : build->indexes) {
-    if (SideFile* sf = catalog_.side_file(ib.id)) {
+  for (const IndexRef& ix : build->indexes) {
+    if (SideFile* sf = catalog_.side_file(ix.id)) {
       p.side_file_appended += sf->entries_appended();
     }
   }

@@ -11,7 +11,7 @@
 //
 // Restart order matters: physical redo first (pages become current), then
 // the catalog re-opens tables/trees/side-files from metadata, interrupted
-// index builds re-attach (so rollback sees the Index_Build flag and scan
+// index builds are re-published (so rollback sees the build and its scan
 // position), and only then are loser transactions rolled back — B+-tree
 // undo is logical and needs live tree objects.
 
@@ -89,7 +89,7 @@ class Engine {
 
   // Live snapshot of an in-flight index build on `table` (phase,
   // Current-RID vs heap tail, side-file backlog, keys/sec).  Returns a
-  // default (inactive) snapshot when no build is registered.
+  // default (inactive) snapshot when no build is published.
   obs::BuildProgress GetBuildProgress(TableId table);
 
   Transaction* Begin() { return txns_.Begin(); }

@@ -177,19 +177,11 @@ Status ReattachInterruptedBuilds(Engine* engine) {
       // resumption is a from-scratch rebuild, so no registration.
       continue;
     }
-    std::vector<InBuildIndex> in_build;
-    for (const IndexDescriptor& d : descs) {
-      InBuildIndex ib;
-      ib.id = d.id;
-      ib.tree = engine->catalog()->index(d.id);
-      ib.side_file = engine->catalog()->side_file(d.id);
-      ib.unique = d.unique;
-      ib.key_cols = d.key_cols;
-      ib.key_types = d.key_types;
-      in_build.push_back(std::move(ib));
-    }
-    auto build = engine->records()->RegisterBuild(table, algo,
-                                                  std::move(in_build));
+    std::vector<IndexId> ids;
+    ids.reserve(descs.size());
+    for (const IndexDescriptor& d : descs) ids.push_back(d.id);
+    auto build = engine->catalog()->BeginBuild(table, algo, ids);
+    if (!build.ok()) return build.status();
     if (algo == BuildAlgo::kSf) {
       auto meta = LoadBuildMeta(engine, table);
       if (!meta.ok()) {
@@ -198,14 +190,12 @@ Status ReattachInterruptedBuilds(Engine* engine) {
         // beginning; every pre-crash side-file entry is stale.
         BuildMeta fresh;
         fresh.algo = algo;
-        for (const IndexDescriptor& d : descs) {
-          fresh.indexes.push_back(d.id);
-        }
+        fresh.indexes = ids;
         fresh.phase = 1;
         fresh.current_rid = PackRid(Rid::MinusInfinity());
         meta = std::move(fresh);
       }
-      build->current_rid.store(meta->current_rid);
+      (*build)->current_rid.store(meta->current_rid);
       // Restart fences: the resumed scan re-extracts every partition's
       // pages from its last checkpointed position up to its bound, so
       // pre-crash side-file entries for RIDs in those re-scan regions
@@ -254,6 +244,30 @@ Status ReattachInterruptedBuilds(Engine* engine) {
     }
   }
   return Status::OK();
+}
+
+Status CancelBuild(Engine* engine, TableId table) {
+  Transaction* txn = engine->Begin();
+  LockOptions opt;
+  opt.timeout_ms = 60'000;
+  Status s = engine->locks()->Lock(txn->id(), TableLockId(table),
+                                   LockMode::kS, opt);
+  const TableView* view = engine->catalog()->view(table);
+  if (s.ok() && (view == nullptr || view->build == nullptr)) {
+    s = Status::NotFound("no build in progress");
+  }
+  if (s.ok()) {
+    for (const IndexRef& ix : view->build->indexes) {
+      s = engine->catalog()->DropIndex(ix.id);
+      if (!s.ok()) break;
+    }
+  }
+  if (s.ok()) s = ClearBuildMeta(engine, table);
+  if (!s.ok()) {
+    (void)engine->Rollback(txn);
+    return s;
+  }
+  return engine->Commit(txn);
 }
 
 }  // namespace oib

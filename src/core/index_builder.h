@@ -19,8 +19,9 @@
 // All builders are restartable: progress checkpoints live in disk
 // metadata (keyed by table), and Resume() continues an interrupted build
 // after Engine::Restart.  ReattachInterruptedBuilds() (called during
-// restart) re-registers the ActiveBuild state so transactions maintain
-// half-built indexes correctly even before Resume runs.
+// restart) re-publishes each interrupted build so transactions maintain
+// half-built indexes correctly even before Resume runs; CancelBuild()
+// drops one instead (section 2.3.2).
 
 #ifndef OIB_CORE_INDEX_BUILDER_H_
 #define OIB_CORE_INDEX_BUILDER_H_
@@ -96,9 +97,6 @@ class NsfIndexBuilder {
                BuildStats* stats = nullptr);
   // Continues an interrupted NSF build on `table` after restart.
   Status Resume(TableId table, IndexId* out, BuildStats* stats = nullptr);
-  // Section 2.3.2: cancel an in-progress build (quiesces updates briefly
-  // to drop the descriptor).
-  Status Cancel(TableId table);
 
  private:
   Status Run(const BuildParams& params, IndexId index_id, int start_phase,
@@ -116,16 +114,21 @@ class SfIndexBuilder {
   Status BuildMany(const std::vector<BuildParams>& params,
                    std::vector<IndexId>* out, BuildStats* stats = nullptr);
   Status Resume(TableId table, BuildStats* stats = nullptr);
-  Status Cancel(TableId table);
 
  private:
   Engine* engine_;
 };
 
-// Restart hook: re-registers ActiveBuild state for every interrupted
+// Restart hook: re-publishes (Catalog::BeginBuild) every interrupted
 // NSF/SF build found in the catalog, adding SF restart fences so stale
 // pre-crash side-file entries are skipped during apply (see DESIGN.md).
 Status ReattachInterruptedBuilds(Engine* engine);
+
+// Section 2.3.2: cancels the build published on `table`, NSF or SF.
+// Quiesces updates briefly (table S lock) so no rolling-back transaction
+// meets a vanished index, drops every index of the build — which
+// unpublishes it — and clears its checkpoint.
+Status CancelBuild(Engine* engine, TableId table);
 
 // Shared by NSF inserts and SF load/apply for unique indexes: the paper's
 // verification protocol — S-lock both records, recheck that the duplicate

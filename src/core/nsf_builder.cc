@@ -56,12 +56,6 @@ Status DecodeNsfInsertState(const std::string& blob, std::string* sort_blob,
   return Status::OK();
 }
 
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 constexpr const char* kNsfScanSpans[] = {
     "nsf.scan.p0", "nsf.scan.p1", "nsf.scan.p2", "nsf.scan.p3",
     "nsf.scan.p4", "nsf.scan.p5", "nsf.scan.p6", "nsf.scan.p7"};
@@ -71,7 +65,6 @@ constexpr const char* kNsfScanSpans[] = {
 Status NsfIndexBuilder::Build(const BuildParams& params, IndexId* out,
                               BuildStats* stats) {
   Catalog* catalog = engine_->catalog();
-  RecordManager* records = engine_->records();
 
   // Section 2.2.1: quiesce updates (table S lock) only for the duration
   // of descriptor creation, so no transaction holds uncommitted updates
@@ -91,16 +84,13 @@ Status NsfIndexBuilder::Build(const BuildParams& params, IndexId* out,
     (void)engine_->Rollback(quiesce_txn);
     return desc.status();
   }
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = catalog->index(desc->id);
-  ib.side_file = nullptr;
-  ib.unique = params.unique;
-  ib.key_cols = params.key_cols;
-  ib.key_types = params.key_types;
-  auto build =
-      records->RegisterBuild(params.table, BuildAlgo::kNsf, {std::move(ib)});
-  build->SetPhase(obs::BuildPhase::kQuiesce);
+  auto build = catalog->BeginBuild(params.table, BuildAlgo::kNsf, {desc->id});
+  if (!build.ok()) {
+    (void)catalog->DropIndex(desc->id);
+    (void)engine_->Rollback(quiesce_txn);
+    return build.status();
+  }
+  (*build)->SetPhase(obs::BuildPhase::kQuiesce);
 
   BuildMeta meta;
   meta.algo = BuildAlgo::kNsf;
@@ -118,76 +108,56 @@ Status NsfIndexBuilder::Build(const BuildParams& params, IndexId* out,
 
 Status NsfIndexBuilder::Resume(TableId table, IndexId* out,
                                BuildStats* stats) {
-  auto meta = LoadBuildMeta(engine_, table);
-  IndexId id = kInvalidIndexId;
+  // Restart published the interrupted build (ReattachInterruptedBuilds).
+  const TableView* view = engine_->catalog()->view(table);
+  if (view == nullptr || view->build == nullptr ||
+      view->build->algo != BuildAlgo::kNsf ||
+      view->build->indexes.size() != 1) {
+    return Status::InvalidArgument("not an interrupted NSF build");
+  }
+  const IndexRef& ix = view->build->indexes[0];
   int phase = 1;
   std::string phase_blob;
+  auto meta = LoadBuildMeta(engine_, table);
   if (meta.ok()) {
-    if (meta->algo != BuildAlgo::kNsf || meta->indexes.size() != 1) {
+    if (meta->algo != BuildAlgo::kNsf || meta->indexes.size() != 1 ||
+        meta->indexes[0] != ix.id) {
       return Status::InvalidArgument("not an interrupted NSF build");
     }
-    id = meta->indexes[0];
     phase = meta->phase;
     phase_blob = meta->phase_blob;
-  } else if (meta.status().IsNotFound()) {
-    // Crash between descriptor creation and the first checkpoint: the
-    // descriptor persisted (kBuilding) but no meta did.  Nothing was
-    // inserted yet, so restart the build from the beginning.
-    for (const IndexDescriptor& d : engine_->catalog()->IndexesOf(table)) {
-      if (d.state == IndexState::kBuilding && d.algo == BuildAlgo::kNsf) {
-        id = d.id;
-        break;
-      }
-    }
-    if (id == kInvalidIndexId) return meta.status();
-  } else {
+  } else if (!meta.status().IsNotFound()) {
     return meta.status();
   }
-  auto desc = engine_->catalog()->descriptor(id);
-  if (!desc.ok()) return desc.status();
+  // No meta: a crash between descriptor creation and the first checkpoint.
+  // Nothing was inserted yet, so the build restarts from the beginning.
   BuildParams params;
-  params.name = desc->name;
   params.table = table;
-  params.unique = desc->unique;
-  params.key_cols = desc->key_cols;
-  params.key_types = desc->key_types;
-  if (out != nullptr) *out = id;
-  return Run(params, id, phase, phase_blob, stats);
-}
-
-Status NsfIndexBuilder::Cancel(TableId table) {
-  // Section 2.3.2: deleting the descriptor requires quiescing updates so
-  // rolling-back transactions never hit a vanished index.
-  auto meta = LoadBuildMeta(engine_, table);
-  if (!meta.ok()) return meta.status();
-  Transaction* txn = engine_->Begin();
-  LockOptions opt;
-  opt.timeout_ms = 60'000;
-  OIB_RETURN_IF_ERROR(engine_->locks()->Lock(
-      txn->id(), TableLockId(table), LockMode::kS, opt));
-  engine_->records()->UnregisterBuild(table);
-  for (IndexId id : meta->indexes) {
-    OIB_RETURN_IF_ERROR(engine_->catalog()->DropIndex(id));
-  }
-  OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table));
-  return engine_->Commit(txn);
+  params.unique = ix.unique;
+  params.key_cols = ix.key_cols;
+  params.key_types = ix.key_types;
+  if (out != nullptr) *out = ix.id;
+  return Run(params, ix.id, phase, phase_blob, stats);
 }
 
 Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
                             int start_phase, std::string phase_blob,
                             BuildStats* stats) {
   Catalog* catalog = engine_->catalog();
-  HeapFile* heap = catalog->table(params.table);
-  BTree* tree = catalog->index(index_id);
-  if (heap == nullptr || tree == nullptr) {
-    return Status::NotFound("table or index missing");
+  const TableView* view = catalog->view(params.table);
+  if (view == nullptr || view->build == nullptr ||
+      view->build->algo != BuildAlgo::kNsf ||
+      view->build->indexes[0].id != index_id) {
+    return Status::Corruption("NSF build not published");
   }
+  HeapFile* heap = view->heap;
+  ActiveBuild* build = view->build.get();
+  BTree* tree = build->indexes[0].tree;
   const Options& options = engine_->options();
   LogStats log_before = engine_->log()->stats();
   uint64_t key_raw_before = engine_->runs()->raw_key_bytes();
   uint64_t key_stored_before = engine_->runs()->stored_key_bytes();
   BuildStats local;
-  auto build = engine_->records()->GetBuild(params.table);
   obs::Tracer* tracer = engine_->tracer();
   auto t_run = std::chrono::steady_clock::now();
 
@@ -206,7 +176,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
     // 5.1).  The plan's stop_page is the tail noted before scanning:
     // records appended to later extensions get their keys inserted
     // directly by transactions (section 2.3.1).
-    if (build) build->SetPhase(obs::BuildPhase::kScan);
+    build->SetPhase(obs::BuildPhase::kScan);
     obs::ScopedSpan scan_span(tracer, "nsf.scan");
     ScanPlan plan;
     if (!phase_blob.empty()) {
@@ -229,11 +199,9 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
       meta.phase_blob = blob;
       return SaveBuildMeta(engine_, params.table, meta);
     };
-    if (build) {
-      hooks.keys_progress = [&](uint64_t n) {
-        build->keys_done.fetch_add(n, std::memory_order_relaxed);
-      };
-    }
+    hooks.keys_progress = [&](uint64_t n) {
+      build->keys_done.fetch_add(n, std::memory_order_relaxed);
+    };
     BuildPipeline::ScanResult scan_res;
     Status s = BuildPipeline::RunScan(
         heap, tracer, {{params.key_cols, params.key_types, &sorter}}, &plan,
@@ -246,7 +214,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
 
     scan_span.set_arg(local.keys_extracted);
     scan_span.End();
-    if (build) build->SetPhase(obs::BuildPhase::kSortMerge);
+    build->SetPhase(obs::BuildPhase::kSortMerge);
     obs::ScopedSpan sort_span(tracer, "nsf.sort.merge_prep");
     OIB_RETURN_IF_ERROR(sorter.FinishWriters());
     OIB_RETURN_IF_ERROR(sorter.PrepareMerge());
@@ -269,7 +237,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
 
   // ---- Phase 2: multi-key inserts with periodic commits (2.2.3), fed by
   // the final merge — on its own thread when the build is parallel.
-  if (build) build->SetPhase(obs::BuildPhase::kInsert);
+  build->SetPhase(obs::BuildPhase::kInsert);
   obs::ScopedSpan insert_span(tracer, "nsf.insert");
   auto cursor = sorter.OpenMerge(has_counters ? &counters : nullptr);
   if (!cursor.ok()) return cursor.status();
@@ -277,7 +245,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   Transaction* txn = engine_->Begin();
   auto abort_build = [&](const Status& cause) -> Status {
     (void)engine_->Rollback(txn);
-    Status s = Cancel(params.table);
+    Status s = CancelBuild(engine_, params.table);
     if (!s.ok()) return s;
     return cause;
   };
@@ -312,9 +280,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
     OIB_RETURN_IF_ERROR(tree->IbInsertBatch(txn, refs, params.unique,
                                             on_conflict, &local.ib));
     inserted += batch.size();
-    if (build) {
-      build->keys_done.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
+    build->keys_done.fetch_add(batch.size(), std::memory_order_relaxed);
     batch.clear();
     return Status::OK();
   };
@@ -380,12 +346,13 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   local.merge_ms = merge_stats.merge_busy_ms;
   local.load_ms = merge_stats.consume_busy_ms;
   insert_span.End();
-  if (build) build->SetPhase(obs::BuildPhase::kDone);
+  build->SetPhase(obs::BuildPhase::kDone);
 
   // ---- Phase 3: make the index available for reads.  With data-only
-  // locking no update quiesce is needed (section 6.2).
-  OIB_RETURN_IF_ERROR(catalog->SetIndexReady(index_id));
-  engine_->records()->UnregisterBuild(params.table);
+  // locking no update quiesce is needed (section 6.2): one publication
+  // moves the index from the build to the ready indexes, so every update
+  // maintains it exactly once, NSF-style before and directly after.
+  OIB_RETURN_IF_ERROR(catalog->FinishBuild(params.table));
   OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, params.table));
 
   LogStats log_after = engine_->log()->stats();

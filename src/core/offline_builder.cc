@@ -58,13 +58,16 @@ Status OfflineIndexBuilder::Build(const BuildParams& params, IndexId* out,
     return desc.status();
   }
   IndexId id = desc->id;
-  BTree* tree = catalog->index(id);
-
   auto abort_build = [&](const Status& cause) -> Status {
     (void)catalog->DropIndex(id);
     (void)engine_->Rollback(txn);
     return cause;
   };
+  // Published like an online build, though no update can see it under
+  // the X lock; FinishBuild makes it ready.
+  auto build = catalog->BeginBuild(params.table, BuildAlgo::kOffline, {id});
+  if (!build.ok()) return abort_build(build.status());
+  BTree* tree = (*build)->indexes[0].tree;
 
   // Partitioned scan + per-partition run generation.  The X lock freezes
   // the chain, so the plan covers every record.
@@ -115,7 +118,7 @@ Status OfflineIndexBuilder::Build(const BuildParams& params, IndexId* out,
   bool has_prev = false;
   // The bulk loader writes leaves directly (no tree mutation choke
   // points), so the hash mirror is fed here, alongside each Add.
-  HashIndex* hash = catalog->hash_index(id);
+  HashIndex* hash = (*build)->indexes[0].hash;
   auto consume = [&](const BuildPipeline::Batch& batch) -> Status {
     for (const SortItem& item : batch.items) {
       if (params.unique && has_prev && item.key.view() == prev_key) {
@@ -159,12 +162,10 @@ Status OfflineIndexBuilder::Build(const BuildParams& params, IndexId* out,
   local.load_ms = merge_stats.consume_busy_ms;
   load_span.set_arg(local.keys_loaded);
   load_span.End();
-  OIB_RETURN_IF_ERROR(catalog->SetIndexReady(id));
+  OIB_RETURN_IF_ERROR(catalog->FinishBuild(params.table));
   OIB_RETURN_IF_ERROR(engine_->Commit(txn));  // releases the X lock
 
-  local.quiesce_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+  local.quiesce_ms = MsSince(t0);
   local.elapsed_ms = local.quiesce_ms;
   LogStats log_after = engine_->log()->stats();
   local.log_records = log_after.records - log_before.records;

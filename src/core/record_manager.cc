@@ -1,6 +1,6 @@
 #include "core/record_manager.h"
 
-#include "obs/trace.h"
+#include <algorithm>
 
 namespace oib {
 
@@ -119,36 +119,28 @@ void RecordManager::AttachHeapRm(HeapRm* heap_rm) {
 
 RecordManager::MaintPlan RecordManager::PlanFor(TableId table,
                                                 const Rid& rid) {
-  for (;;) {
-    MaintPlan plan;
-    // Read the Index_Build flag BEFORE snapshotting the catalog.  The
-    // builder marks the index ready and THEN flips the flag (both under
-    // the gate), so flag==false guarantees a subsequent catalog read sees
-    // the index as ready; the reverse order could observe "still
-    // building" in the catalog and "build finished" in the flag and
-    // maintain nothing — losing the index update entirely.
-    auto build = GetBuild(table);
-    bool active = build && build->index_build.load();
-    for (const IndexDescriptor& d : catalog_->IndexesOf(table)) {
-      if (d.state == IndexState::kReady) plan.ready.push_back(d);
-    }
-    uint32_t count = static_cast<uint32_t>(plan.ready.size());
-    if (active) {
-      plan.build = build;
-      plan.gate = build->EnterGateShared();
-      // Acquiring the gate may have waited out the builder's final drain;
-      // if the flag flipped meanwhile, the ready-index snapshot above is
-      // stale — replan from scratch.
-      if (!build->index_build.load()) continue;
-      if (build->algo == BuildAlgo::kNsf) {
-        count += static_cast<uint32_t>(build->indexes.size());
-      } else if (build->algo == BuildAlgo::kSf) {
-        plan.sf_visible = PackRid(rid) < build->current_rid.load();
-      }
-    }
-    plan.visible_count = count;
-    return plan;
+  MaintPlan plan;
+  plan.view = catalog_->view(table);
+  // A published build is entered through its drain gate.  SF publishes
+  // its finished build with the gate closed, so a plan that waited at the
+  // gate may hold a stale view: reload, and replan when it changed.
+  while (plan.view != nullptr && plan.view->build != nullptr) {
+    plan.gate = plan.view->build->EnterGateShared();
+    const TableView* now = catalog_->view(table);
+    if (now == plan.view) break;
+    plan.gate.Release();
+    plan.view = now;
   }
+  if (plan.view == nullptr) return plan;
+  plan.visible_count = static_cast<uint32_t>(plan.view->ready.size());
+  if (const ActiveBuild* build = plan.view->build.get()) {
+    if (build->algo == BuildAlgo::kNsf) {
+      plan.visible_count += static_cast<uint32_t>(build->indexes.size());
+    } else if (build->algo == BuildAlgo::kSf) {
+      plan.sf_visible = PackRid(rid) < build->current_rid.load();
+    }
+  }
+  return plan;
 }
 
 // --------------------------- key maintenance -------------------------
@@ -228,46 +220,43 @@ Status RecordManager::Maintain(Transaction* txn, TableId table,
                                const MaintPlan& plan, HeapOp op,
                                const Rid& rid, std::string_view old_rec,
                                std::string_view new_rec) {
-  auto maintain_direct = [&](BTree* tree, bool unique,
-                             const std::vector<uint32_t>& cols,
-                             const std::vector<KeyColumnType>& types,
-                             bool nsf_build) -> Status {
+  auto maintain_direct = [&](const IndexRef& ix, bool nsf_build) -> Status {
     KeyDiff diff;
-    OIB_RETURN_IF_ERROR(DiffKeys(op, old_rec, new_rec, cols, types, &diff));
+    OIB_RETURN_IF_ERROR(
+        DiffKeys(op, old_rec, new_rec, ix.key_cols, ix.key_types, &diff));
     if (diff.del) {
-      OIB_RETURN_IF_ERROR(DeleteKey(txn, tree, nsf_build, diff.del_key, rid));
+      OIB_RETURN_IF_ERROR(
+          DeleteKey(txn, ix.tree, nsf_build, diff.del_key, rid));
     }
     if (diff.ins) {
-      return InsertKey(txn, table, tree, unique, nsf_build, diff.ins_key, rid);
+      return InsertKey(txn, table, ix.tree, ix.unique, nsf_build,
+                       diff.ins_key, rid);
     }
     return Status::OK();
   };
 
-  for (const IndexDescriptor& d : plan.ready) {
-    BTree* tree = catalog_->index(d.id);
-    if (tree == nullptr) return Status::Corruption("missing ready index");
-    OIB_RETURN_IF_ERROR(maintain_direct(tree, d.unique, d.key_cols,
-                                        d.key_types, /*nsf_build=*/false));
+  for (const IndexRef& ix : plan.view->ready) {
+    OIB_RETURN_IF_ERROR(maintain_direct(ix, /*nsf_build=*/false));
   }
 
-  if (!plan.build) return Status::OK();
+  const ActiveBuild* build = plan.view->build.get();
+  if (build == nullptr) return Status::OK();
 
-  if (plan.build->algo == BuildAlgo::kNsf) {
-    for (const InBuildIndex& ib : plan.build->indexes) {
-      OIB_RETURN_IF_ERROR(maintain_direct(ib.tree, ib.unique, ib.key_cols,
-                                          ib.key_types, /*nsf_build=*/true));
+  if (build->algo == BuildAlgo::kNsf) {
+    for (const IndexRef& ix : build->indexes) {
+      OIB_RETURN_IF_ERROR(maintain_direct(ix, /*nsf_build=*/true));
     }
     return Status::OK();
   }
 
   // SF: append to the side-file only when the index is visible, i.e. the
   // builder's scan has already passed this RID (Figure 1).
-  if (plan.build->algo == BuildAlgo::kSf && plan.sf_visible) {
-    for (const InBuildIndex& ib : plan.build->indexes) {
+  if (build->algo == BuildAlgo::kSf && plan.sf_visible) {
+    for (const IndexRef& ix : build->indexes) {
       KeyDiff diff;
       OIB_RETURN_IF_ERROR(
-          DiffKeys(op, old_rec, new_rec, ib.key_cols, ib.key_types, &diff));
-      OIB_RETURN_IF_ERROR(AppendSideFile(txn, ib.side_file, diff, rid, &stats_));
+          DiffKeys(op, old_rec, new_rec, ix.key_cols, ix.key_types, &diff));
+      OIB_RETURN_IF_ERROR(AppendSideFile(txn, ix.side_file, diff, rid, &stats_));
     }
   }
   return Status::OK();
@@ -394,20 +383,16 @@ StatusOr<std::string> RecordManager::ReadRecordByKey(Transaction* txn,
   opt.timeout_ms = options_->lock_timeout_ms;
   OIB_RETURN_IF_ERROR(
       locks_->Lock(txn->id(), TableLockId(table), LockMode::kIS, opt));
-  auto desc = catalog_->descriptor(index);
-  if (!desc.ok()) return desc.status();
-  if (desc->table != table) {
-    return Status::InvalidArgument("index not on this table");
+  const TableView* view = catalog_->view(table);
+  if (view == nullptr) return Status::NotFound("no such table");
+  auto ix = std::find_if(view->ready.begin(), view->ready.end(),
+                         [index](const IndexRef& r) { return r.id == index; });
+  if (ix == view->ready.end()) {
+    return Status::InvalidArgument("index not readable on this table");
   }
-  if (desc->state != IndexState::kReady) {
-    return Status::InvalidArgument("index not readable");
-  }
-  BTree* tree = catalog_->index(index);
-  if (tree == nullptr) return Status::NotFound("no such index");
-  HeapFile* heap = catalog_->table(table);
-  if (heap == nullptr) return Status::NotFound("no such table");
-  HashIndex* hash =
-      options_->enable_hash_index ? catalog_->hash_index(index) : nullptr;
+  HeapFile* heap = view->heap;
+  BTree* tree = ix->tree;
+  HashIndex* hash = ix->hash;
 
   // Resolve key -> RID, lock, fetch, then verify the fetched record still
   // carries this key (it may have been updated between the index read and
@@ -451,8 +436,7 @@ StatusOr<std::string> RecordManager::ReadRecordByKey(Transaction* txn,
     }
     std::string actual_key;
     OIB_RETURN_IF_ERROR(
-        Schema::ExtractKeyTo(*rec, desc->key_cols, desc->key_types,
-                             &actual_key));
+        Schema::ExtractKeyTo(*rec, ix->key_cols, ix->key_types, &actual_key));
     if (actual_key == key) return rec;
     // The record moved to a different key under us; resolve again.
   }
@@ -468,134 +452,66 @@ Status RecordManager::UndoHook(Transaction* txn, TableId table,
                                uint32_t logged_count) {
   // Runs under the data-page X latch, before the heap CLR.  All actions
   // here are idempotent so a crash mid-undo can safely repeat them.
-  // Flag-before-catalog ordering: see PlanFor.
-  auto build = GetBuild(table);
-  bool build_active = build && build->index_build.load();
-  std::vector<IndexDescriptor> ready;
-  auto snapshot = [&]() {
-    ready.clear();
-    for (const IndexDescriptor& d : catalog_->IndexesOf(table)) {
-      if (d.state == IndexState::kReady) ready.push_back(d);
-    }
-  };
-  snapshot();
-  sync::SharedLock gate;
-  if (build_active) {
-    gate = build->EnterGateShared();
-    if (!build->index_build.load()) {
-      // The final drain finished while we waited: the index is ready now;
-      // recompute the partition.
-      gate.Release();
-      build_active = false;
-      snapshot();
-    }
-  }
+  MaintPlan plan = PlanFor(table, rid);
+  if (plan.view == nullptr) return Status::OK();
 
   // The inverse change's key diff for one index.
   const HeapOp undo_op = InverseOp(original_op);
-  auto undo_diff = [&](const std::vector<uint32_t>& cols,
-                       const std::vector<KeyColumnType>& types,
-                       KeyDiff* diff) {
-    return DiffKeys(undo_op, after, before, cols, types, diff);
+  auto undo_diff = [&](const IndexRef& ix, KeyDiff* diff) {
+    return DiffKeys(undo_op, after, before, ix.key_cols, ix.key_types, diff);
   };
 
   // Direct (tree-traversal) compensation, logged redo-only: these actions
   // are themselves undo actions and must never be re-undone.  Both
   // tolerate a crash-repeated compensation (absent / already present).
-  auto compensate_direct = [&](BTree* tree, const std::vector<uint32_t>& cols,
-                               const std::vector<KeyColumnType>& types)
-      -> Status {
+  auto compensate_direct = [&](const IndexRef& ix) -> Status {
     KeyDiff diff;
-    OIB_RETURN_IF_ERROR(undo_diff(cols, types, &diff));
+    OIB_RETURN_IF_ERROR(undo_diff(ix, &diff));
     if (diff.del) {
-      Status s = tree->PhysicalDelete(txn, diff.del_key, rid,
-                                      LogRecordType::kRedoOnly);
+      Status s = ix.tree->PhysicalDelete(txn, diff.del_key, rid,
+                                         LogRecordType::kRedoOnly);
       if (!s.ok() && !s.IsNotFound()) return s;
     }
     if (diff.ins) {
-      return tree->Insert(txn, diff.ins_key, rid, 0, LogRecordType::kRedoOnly)
+      return ix.tree
+          ->Insert(txn, diff.ins_key, rid, 0, LogRecordType::kRedoOnly)
           .status();
     }
     return Status::OK();
   };
 
   uint32_t ordinal = 0;
-  for (const IndexDescriptor& d : ready) {
-    if (ordinal >= logged_count) {
-      // Made visible (completed) since the original change: logical undo
-      // by traversing the tree (Figure 2).
-      BTree* tree = catalog_->index(d.id);
-      if (tree == nullptr) return Status::Corruption("missing index");
-      OIB_RETURN_IF_ERROR(compensate_direct(tree, d.key_cols, d.key_types));
-      stats_.rollback_compensations.fetch_add(1);
-    }
-    ++ordinal;
+  for (const IndexRef& ix : plan.view->ready) {
+    if (ordinal++ < logged_count) continue;
+    // Made visible (completed) since the original change: logical undo
+    // by traversing the tree (Figure 2).
+    OIB_RETURN_IF_ERROR(compensate_direct(ix));
+    stats_.rollback_compensations.fetch_add(1);
   }
-  if (build_active) {
-    bool sf_visible =
-        build->algo == BuildAlgo::kSf &&
-        PackRid(rid) < build->current_rid.load();
-    for (const InBuildIndex& ib : build->indexes) {
-      if (ordinal >= logged_count) {
-        if (build->algo == BuildAlgo::kSf) {
-          if (sf_visible) {
-            // Inverse side-file entries: the undo is itself a record
-            // modification the builder will not see (Figure 1 applied to
-            // the inverse operation).
-            KeyDiff diff;
-            OIB_RETURN_IF_ERROR(undo_diff(ib.key_cols, ib.key_types, &diff));
-            OIB_RETURN_IF_ERROR(
-                AppendSideFile(txn, ib.side_file, diff, rid, &stats_));
-            stats_.rollback_compensations.fetch_add(1);
-          }
-          // Invisible: IB will extract the post-undo state; nothing to do.
-        } else {
-          // NSF builds quiesce updates at descriptor creation (2.2.1), so
-          // a transaction older than the descriptor cannot exist; kept
-          // for safety with a tolerant direct compensation.
-          OIB_RETURN_IF_ERROR(
-              compensate_direct(ib.tree, ib.key_cols, ib.key_types));
-        }
+  const ActiveBuild* build = plan.view->build.get();
+  if (build == nullptr) return Status::OK();
+  for (const IndexRef& ix : build->indexes) {
+    if (ordinal++ < logged_count) continue;
+    if (build->algo == BuildAlgo::kSf) {
+      if (plan.sf_visible) {
+        // Inverse side-file entries: the undo is itself a record
+        // modification the builder will not see (Figure 1 applied to the
+        // inverse operation).
+        KeyDiff diff;
+        OIB_RETURN_IF_ERROR(undo_diff(ix, &diff));
+        OIB_RETURN_IF_ERROR(
+            AppendSideFile(txn, ix.side_file, diff, rid, &stats_));
+        stats_.rollback_compensations.fetch_add(1);
       }
-      ++ordinal;
+      // Invisible: IB will extract the post-undo state; nothing to do.
+    } else if (build->algo == BuildAlgo::kNsf) {
+      // NSF builds quiesce updates at descriptor creation (2.2.1), so a
+      // transaction older than the descriptor cannot exist; kept for
+      // safety with a tolerant direct compensation.
+      OIB_RETURN_IF_ERROR(compensate_direct(ix));
     }
   }
   return Status::OK();
-}
-
-// ------------------------------ registry -----------------------------
-
-std::shared_ptr<ActiveBuild> RecordManager::RegisterBuild(
-    TableId table, BuildAlgo algo, std::vector<InBuildIndex> indexes) {
-  auto build = std::make_shared<ActiveBuild>();
-  build->algo = algo;
-  build->indexes = std::move(indexes);
-  build->start_ns = obs::MonotonicNanos();
-  if (algo == BuildAlgo::kNsf) {
-    for (const InBuildIndex& ib : build->indexes) {
-      if (ib.tree != nullptr) ib.tree->set_ib_active(true);
-    }
-  }
-  sync::MutexLock g(&builds_mu_);
-  builds_[table] = build;
-  return build;
-}
-
-void RecordManager::UnregisterBuild(TableId table) {
-  sync::MutexLock g(&builds_mu_);
-  auto it = builds_.find(table);
-  if (it != builds_.end()) {
-    for (const InBuildIndex& ib : it->second->indexes) {
-      if (ib.tree != nullptr) ib.tree->set_ib_active(false);
-    }
-    builds_.erase(it);
-  }
-}
-
-std::shared_ptr<ActiveBuild> RecordManager::GetBuild(TableId table) const {
-  sync::MutexLock g(&builds_mu_);
-  auto it = builds_.find(table);
-  return it == builds_.end() ? nullptr : it->second;
 }
 
 }  // namespace oib

@@ -17,106 +17,23 @@
 //    index still being built, a (redo-only) tree update for one that has
 //    completed.
 //
-// Active builds register here; the registry carries the SF scan position
-// (Current-RID), the Index_Build flag, and the drain gate IB uses to flip
-// the flag without losing in-flight appends.
+// Every plan starts from one load of the table's published view
+// (Catalog::view): its ready indexes and its active build, which carries
+// the SF scan position (Current-RID) and the drain gate.  Record
+// operations take neither the catalog mutex nor any build registry lock.
 
 #ifndef OIB_CORE_RECORD_MANAGER_H_
 #define OIB_CORE_RECORD_MANAGER_H_
 
 #include <atomic>
-#include <memory>
-#include <thread>
-#include <vector>
 
 #include "common/sync.h"
 #include "core/catalog.h"
 #include "core/schema.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "txn/lock_manager.h"
 
 namespace oib {
-
-// Packs a RID into an atomically updatable word, preserving order.
-inline uint64_t PackRid(const Rid& rid) {
-  return (static_cast<uint64_t>(rid.page) << 16) | rid.slot;
-}
-inline Rid UnpackRid(uint64_t v) {
-  return Rid(static_cast<PageId>(v >> 16), static_cast<SlotId>(v & 0xffff));
-}
-
-// One index being built by an active builder on some table.
-struct InBuildIndex {
-  IndexId id = kInvalidIndexId;
-  BTree* tree = nullptr;
-  SideFile* side_file = nullptr;  // SF only
-  bool unique = false;
-  std::vector<uint32_t> key_cols;
-  std::vector<KeyColumnType> key_types;  // empty = all kString
-};
-
-// Shared state between an index builder and concurrent transactions.
-struct ActiveBuild {
-  BuildAlgo algo = BuildAlgo::kNone;
-  std::vector<InBuildIndex> indexes;  // >1 for multi-index single scan
-  // SF: IB's scan position; MinusInfinity before the scan starts,
-  // Infinity after the last data page (section 3.2.2).
-  std::atomic<uint64_t> current_rid{PackRid(Rid::MinusInfinity())};
-  // Index_Build flag (section 3.2.1); cleared by IB after draining the
-  // side-file.
-  std::atomic<bool> index_build{true};
-  // Drain gate: transactions hold it shared from the visibility decision
-  // through their side-file append; IB holds it exclusive while applying
-  // the final side-file entries and flipping index_build, so no decided-
-  // but-unappended entry can be lost.  Acquired through the helpers
-  // below: the underlying rwlock makes no fairness promise (glibc's
-  // prefers readers), so with updaters continuously re-acquiring the
-  // gate shared, a bare exclusive lock() could be starved indefinitely.
-  // IB raises gate_closing first; new readers back off until it clears,
-  // so IB waits only for the readers already past the check — each
-  // holding the gate for one short append.
-  //
-  // Rank kDrainGate is EXEMPT from the order check: the gate is taken
-  // shared under a data-page latch (the visibility decision) while page
-  // latches are taken under the gate (side-file appends, final drain) —
-  // a benign cycle over disjoint page sets that no total order can
-  // express (see common/sync.h).
-  sync::SharedMutex gate{sync::LockRank::kDrainGate, "activebuild.gate"};
-  std::atomic<bool> gate_closing{false};
-
-  sync::SharedLock EnterGateShared() {
-    while (gate_closing.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    return sync::SharedLock(&gate);
-  }
-  sync::UniqueLock CloseGate() {
-    gate_closing.store(true, std::memory_order_release);
-    sync::UniqueLock g(&gate);
-    // Only raised while the writer *waits*: once the gate is held
-    // exclusively the rwlock itself blocks readers, and clearing here
-    // means no early-return path can leave readers spinning on the flag.
-    gate_closing.store(false, std::memory_order_release);
-    return g;
-  }
-
-  // ---- live progress (obs): written by the builder / transactions with
-  // relaxed atomics, snapshotted by Engine::GetBuildProgress ----
-  std::atomic<int> phase{static_cast<int>(obs::BuildPhase::kIdle)};
-  std::atomic<uint64_t> keys_done{0};          // extracted + loaded/inserted
-  // SF: side-file entries IB has read (applied or fenced out), summed
-  // over the build's indexes; Engine::GetBuildProgress pairs it with the
-  // side-files' own append counts.
-  std::atomic<uint64_t> side_file_applied{0};
-  uint64_t start_ns = 0;  // set once at registration
-
-  Rid CurrentRid() const { return UnpackRid(current_rid.load()); }
-  void SetCurrentRid(const Rid& rid) { current_rid.store(PackRid(rid)); }
-  void SetPhase(obs::BuildPhase p) {
-    phase.store(static_cast<int>(p), std::memory_order_relaxed);
-  }
-};
 
 struct RecordManagerStats {
   std::atomic<uint64_t> side_file_appends{0};
@@ -163,25 +80,20 @@ class RecordManager {
   Status InsertRecordAt(Transaction* txn, TableId table, Rid rid,
                         std::string_view record);
 
-  // ---- build registry ----
-  std::shared_ptr<ActiveBuild> RegisterBuild(
-      TableId table, BuildAlgo algo, std::vector<InBuildIndex> indexes);
-  void UnregisterBuild(TableId table);
-  std::shared_ptr<ActiveBuild> GetBuild(TableId table) const;
-
   const RecordManagerStats& stats() const { return stats_; }
 
  private:
   // Maintenance plan, fixed under the data-page latch.
   struct MaintPlan {
-    std::vector<IndexDescriptor> ready;   // ready indexes, creation order
-    std::shared_ptr<ActiveBuild> build;   // null if no build active
-    sync::SharedLock gate;                // held while build != null
+    const TableView* view = nullptr;  // null for an unknown table
+    sync::SharedLock gate;  // the build's drain gate, while it has one
     bool sf_visible = false;  // SF: Target-RID < Current-RID at decision
     uint32_t visible_count = 0;
   };
 
-  // Runs under the data-page latch: decides visibility and the count.
+  // Runs under the data-page latch: loads the table's view, enters its
+  // build's drain gate, and decides visibility and the count.  Forward
+  // operations and the Figure 2 undo hook both plan here.
   MaintPlan PlanFor(TableId table, const Rid& rid);
 
   // Key maintenance for one index change.
@@ -212,10 +124,6 @@ class RecordManager {
   TransactionManager* txns_;
   const Options* options_;
 
-  mutable sync::Mutex builds_mu_{sync::LockRank::kRecordBuilds,
-                                 "recordmanager.builds_mu"};
-  std::map<TableId, std::shared_ptr<ActiveBuild>> builds_
-      OIB_GUARDED_BY(builds_mu_);
   RecordManagerStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   // Hash fast-path outcome counters (registry-owned; cached here by

@@ -112,12 +112,6 @@ Status DecodeSfApplyState(const std::string& blob,
   return Status::OK();
 }
 
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 bool FencedOut(const std::vector<SideFileFence>& fences, uint64_t ordinal,
                const Rid& rid) {
   uint64_t packed = PackRid(rid);
@@ -156,6 +150,7 @@ class SfRun {
 
  private:
   Status Init();
+  const IndexRef& ix(size_t i) const { return build_->indexes[i]; }
   // Phase 1: partitioned scan + pipelined sort, then merge preparation.
   Status Scan(const std::string& phase_blob);
   Status ExtractLateTail(PageId last_scanned, size_t tail_writer);
@@ -189,10 +184,8 @@ class SfRun {
   std::vector<IndexId> ids_;
   size_t n_;
   HeapFile* heap_ = nullptr;
+  // The published build; its indexes are ids_, in order.
   std::shared_ptr<ActiveBuild> build_;
-  std::vector<BTree*> trees_;
-  std::vector<SideFile*> side_files_;
-  std::vector<IndexDescriptor> descs_;
   std::vector<std::unique_ptr<ExternalSorter>> sorters_;
   BuildMeta meta_;
   std::vector<std::string> sort_blobs_;
@@ -207,21 +200,19 @@ class SfRun {
 };
 
 Status SfRun::Init() {
-  heap_ = catalog_->table(table_);
-  if (heap_ == nullptr) return Status::NotFound("no such table");
-  build_ = engine_->records()->GetBuild(table_);
-  if (!build_) return Status::Corruption("SF build not registered");
-  trees_.resize(n_);
-  side_files_.resize(n_);
-  descs_.resize(n_);
+  const TableView* view = catalog_->view(table_);
+  if (view == nullptr || view->build == nullptr ||
+      view->build->algo != BuildAlgo::kSf) {
+    return Status::Corruption("SF build not published");
+  }
+  heap_ = view->heap;
+  build_ = view->build;
+  if (build_->indexes.size() != n_) {
+    return Status::Corruption("SF build does not match its checkpoint");
+  }
   for (size_t i = 0; i < n_; ++i) {
-    trees_[i] = catalog_->index(ids_[i]);
-    side_files_[i] = catalog_->side_file(ids_[i]);
-    auto d = catalog_->descriptor(ids_[i]);
-    if (!d.ok()) return d.status();
-    descs_[i] = *d;
-    if (trees_[i] == nullptr || side_files_[i] == nullptr) {
-      return Status::Corruption("missing SF build objects");
+    if (ix(i).id != ids_[i] || ix(i).side_file == nullptr) {
+      return Status::Corruption("SF build does not match its checkpoint");
     }
     sorters_.push_back(
         std::make_unique<ExternalSorter>(engine_->runs(), &options_));
@@ -259,7 +250,7 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
   txn_ = engine_->Begin();
   if (start_phase <= 2) {
     OIB_RETURN_IF_ERROR(Load(loading_idx, loader_blob));
-    for (size_t i = 0; i < n_; ++i) pos_[i].cursor = side_files_[i]->Begin();
+    for (size_t i = 0; i < n_; ++i) pos_[i].cursor = ix(i).side_file->Begin();
     OIB_RETURN_IF_ERROR(SaveProgress(3, EncodeSfApplyState(pos_)));
   } else {
     OIB_RETURN_IF_ERROR(DecodeSfApplyState(phase_blob, &pos_));
@@ -274,8 +265,8 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
   // trees are stable here and a full rescan rebuilds every mirror.
   if (start_phase >= 2) {
     for (size_t i = 0; i < n_; ++i) {
-      if (HashIndex* hash = catalog_->hash_index(ids_[i])) {
-        Status s = PopulateHashFromTree(trees_[i], hash);
+      if (ix(i).hash != nullptr) {
+        Status s = PopulateHashFromTree(ix(i).tree, ix(i).hash);
         if (!s.ok()) return s.IsInjected() ? s : Abort(s);
       }
     }
@@ -284,7 +275,6 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
   auto t_apply = std::chrono::steady_clock::now();
   OIB_RETURN_IF_ERROR(Apply());
   OIB_RETURN_IF_ERROR(Finalize());
-  engine_->records()->UnregisterBuild(table_);
   OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table_));
   stats_.apply_ms = MsSince(t_apply);
 
@@ -319,7 +309,7 @@ Status SfRun::Scan(const std::string& phase_blob) {
   targets.reserve(n_);
   for (size_t i = 0; i < n_; ++i) {
     targets.push_back(
-        {descs_[i].key_cols, descs_[i].key_types, sorters_[i].get()});
+        {ix(i).key_cols, ix(i).key_types, sorters_[i].get()});
   }
   ActiveBuild* build = build_.get();
   BuildPipeline::ScanHooks hooks;
@@ -398,7 +388,7 @@ Status SfRun::ExtractLateTail(PageId last_scanned, size_t tail_writer) {
     for (const auto& [rid, rec] : recs) {
       for (size_t i = 0; i < n_; ++i) {
         OIB_RETURN_IF_ERROR(Schema::ExtractKeyTo(
-            rec, descs_[i].key_cols, descs_[i].key_types, &key_buf));
+            rec, ix(i).key_cols, ix(i).key_types, &key_buf));
         OIB_RETURN_IF_ERROR(
             sorters_[i]->writer(tail_writer)->Add(key_buf, rid));
       }
@@ -423,7 +413,7 @@ Status SfRun::Load(uint32_t loading_idx, const std::string& loader_blob) {
 }
 
 Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
-  BulkLoader loader(trees_[idx], engine_->pool(), &options_);
+  BulkLoader loader(ix(idx).tree, engine_->pool(), &options_);
   std::vector<uint64_t> counters;
   const std::vector<uint64_t>* resume_at = nullptr;
   if (!loader_blob.empty()) {
@@ -442,7 +432,7 @@ Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
   auto cursor = sorters_[idx]->OpenMerge(resume_at);
   if (!cursor.ok()) return cursor.status();
 
-  const IndexDescriptor& desc = descs_[idx];
+  const IndexRef& desc = ix(idx);
   std::string prev_key;
   Rid prev_rid;
   bool has_prev = loader.has_high_key();
@@ -455,7 +445,7 @@ Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
   // the tree's mutation choke points, so the observer never fires for
   // them.  A resumed build re-scans the whole tree after this phase (see
   // Run), so missing the pre-crash prefix is fine.
-  HashIndex* hash = catalog_->hash_index(ids_[idx]);
+  HashIndex* hash = desc.hash;
   // Checkpoints happen at merge-batch boundaries, where the batch's
   // counters snapshot identifies the merge position the consumer has
   // actually reached (the shared cursor runs ahead under overlap).
@@ -523,7 +513,7 @@ Status SfRun::Apply() {
     // loop has no bound).  Chase a snapshot of the tail; on reaching it,
     // stop if the backlog is within one batch, else re-snapshot and go
     // again, at most three times.  Finalize applies what remains.
-    SideFile* sf = side_files_[idx];
+    SideFile* sf = ix(idx).side_file;
     uint64_t target = sf->entries_appended();
     int passes = 0;
     Status s = ApplySideFile(idx, [&](uint64_t ordinal) {
@@ -570,17 +560,15 @@ Status SfRun::DrainAndPublish() {
     OIB_RETURN_IF_ERROR(ApplySideFile(idx, nullptr));
   }
   // Commit edge: every batch is committed; ending the builder's
-  // transaction is the last step before publication.  SetIndexReady
-  // persists the catalog directly, and a crash before it leaves a
-  // kBuilding index that Resume finishes from the retained positions.
+  // transaction is the last step before publication.  FinishBuild
+  // persists the catalog directly, and a crash before it leaves kBuilding
+  // indexes that Resume finishes from the retained positions.
   OIB_FAIL_POINT("sf.commit");
   OIB_RETURN_IF_ERROR(engine_->Commit(txn_));
   txn_ = nullptr;
   ++stats_.commits;
-  for (IndexId id : ids_) OIB_RETURN_IF_ERROR(catalog_->SetIndexReady(id));
-  build_->index_build.store(false);
   build_->SetPhase(obs::BuildPhase::kDone);
-  return Status::OK();
+  return catalog_->FinishBuild(table_);
 }
 
 // The one side-file apply loop (3.2.5).  Reads index idx's side-file from
@@ -594,7 +582,7 @@ Status SfRun::ApplySideFile(size_t idx,
   for (;;) {
     OIB_FAIL_POINT("sf.apply");
     obs::ScopedSpan batch_span(tracer_, "sf.apply.batch");
-    auto got = side_files_[idx]->ReadBatch(
+    auto got = ix(idx).side_file->ReadBatch(
         &pos.cursor, options_.sf_apply_batch, &entries);
     if (!got.ok()) return got.status();
     if (*got == 0) return Status::OK();  // caught up with the appenders
@@ -613,16 +601,16 @@ Status SfRun::ApplySideFile(size_t idx,
 }
 
 Status SfRun::ApplyEntry(size_t idx, const SideFile::Entry& e) {
-  BTree* tree = trees_[idx];
+  BTree* tree = ix(idx).tree;
   if (e.op == SideFileOp::kInsertKey) {
-    if (descs_[idx].unique) {
+    if (ix(idx).unique) {
       // Verify value uniqueness against whatever entry exists.
       auto vm = tree->FindKeyValue(e.key);
       if (!vm.ok()) return vm.status();
       if (vm->found && !(vm->rid == e.rid) && !vm->pseudo_deleted) {
         OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
-            engine_, txn_->id(), table_, descs_[idx].key_cols,
-            descs_[idx].key_types, e.key, vm->rid, e.rid));
+            engine_, txn_->id(), table_, ix(idx).key_cols,
+            ix(idx).key_types, e.key, vm->rid, e.rid));
       }
     }
     // kAlreadyPresent / kReactivated are expected: IB may have loaded
@@ -659,7 +647,7 @@ void SfRun::PublishApplied() {
 
 Status SfRun::Abort(const Status& cause) {
   if (txn_ != nullptr) (void)engine_->Rollback(txn_);
-  OIB_RETURN_IF_ERROR(SfIndexBuilder(engine_).Cancel(table_));
+  OIB_RETURN_IF_ERROR(CancelBuild(engine_, table_));
   return cause;
 }
 
@@ -685,27 +673,22 @@ Status SfIndexBuilder::BuildMany(const std::vector<BuildParams>& params,
   }
   Catalog* catalog = engine_->catalog();
 
-  // Descriptor creation without quiescing (section 3.2.1); the
-  // Index_Build flag is raised by registering the ActiveBuild.
+  // Descriptor creation without quiescing (section 3.2.1); publishing
+  // the build raises the Index_Build flag.
   std::vector<IndexId> ids;
-  std::vector<InBuildIndex> in_build;
+  Status s;
   for (const BuildParams& p : params) {
-    auto desc =
-        catalog->CreateIndex(p.name, table, p.unique, p.key_cols,
-                             BuildAlgo::kSf, p.key_types);
-    if (!desc.ok()) return desc.status();
+    auto desc = catalog->CreateIndex(p.name, table, p.unique, p.key_cols,
+                                     BuildAlgo::kSf, p.key_types);
+    s = desc.status();
+    if (!s.ok()) break;
     ids.push_back(desc->id);
-    InBuildIndex ib;
-    ib.id = desc->id;
-    ib.tree = catalog->index(desc->id);
-    ib.side_file = catalog->side_file(desc->id);
-    ib.unique = p.unique;
-    ib.key_cols = p.key_cols;
-    ib.key_types = p.key_types;
-    in_build.push_back(std::move(ib));
   }
-  engine_->records()->RegisterBuild(table, BuildAlgo::kSf,
-                                    std::move(in_build));
+  if (s.ok()) s = catalog->BeginBuild(table, BuildAlgo::kSf, ids).status();
+  if (!s.ok()) {
+    for (IndexId id : ids) (void)catalog->DropIndex(id);
+    return s;
+  }
 
   BuildMeta meta;
   meta.algo = BuildAlgo::kSf;
@@ -727,22 +710,6 @@ Status SfIndexBuilder::Resume(TableId table, BuildStats* stats) {
   }
   return SfRun(engine_, table, meta->indexes)
       .Run(meta->phase, meta->phase_blob, stats);
-}
-
-Status SfIndexBuilder::Cancel(TableId table) {
-  auto meta = LoadBuildMeta(engine_, table);
-  if (!meta.ok()) return meta.status();
-  Transaction* txn = engine_->Begin();
-  LockOptions opt;
-  opt.timeout_ms = 60'000;
-  OIB_RETURN_IF_ERROR(engine_->locks()->Lock(
-      txn->id(), TableLockId(table), LockMode::kS, opt));
-  engine_->records()->UnregisterBuild(table);
-  for (IndexId id : meta->indexes) {
-    OIB_RETURN_IF_ERROR(engine_->catalog()->DropIndex(id));
-  }
-  OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table));
-  return engine_->Commit(txn);
 }
 
 }  // namespace oib

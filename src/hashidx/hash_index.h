@@ -17,7 +17,7 @@
 // it never holds a *wrong* entry.  During bulk population (offline / SF
 // phase 2) slots may be transiently incomplete; the fragment therefore
 // stays unreadable (`readable() == false`, every probe reports kFallback)
-// until Catalog::SetIndexReady publishes it together with the index
+// until Catalog::FinishBuild publishes it together with the index
 // state flip.
 //
 // Concurrency: one SharedMutex per shard at rank kHashShard (95), which

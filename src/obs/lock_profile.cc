@@ -64,8 +64,8 @@ std::vector<LockRankContention> CollectLockProfile() {
       sync::LockRank::kBuildPlan,      sync::LockRank::kDrainGate,
       sync::LockRank::kHeapExtend,     sync::LockRank::kSideFileExtend,
       sync::LockRank::kTxnActive,      sync::LockRank::kPageLatch,
-      sync::LockRank::kBufferShard,    sync::LockRank::kRecordBuilds,
-      sync::LockRank::kCatalog,        sync::LockRank::kHeapHints,
+      sync::LockRank::kBufferShard,    sync::LockRank::kCatalog,
+      sync::LockRank::kHashShard,      sync::LockRank::kHeapHints,
       sync::LockRank::kSideFileCount,  sync::LockRank::kLockTable,
       sync::LockRank::kWalFlush,       sync::LockRank::kWalDrain,
       sync::LockRank::kRunStore,       sync::LockRank::kMergeQueue,

@@ -34,7 +34,7 @@ const char* BuildPhaseName(BuildPhase phase);
 
 struct BuildProgress {
   bool active = false;
-  const char* algo = "none";  // "nsf" | "sf" | "none"
+  const char* algo = "none";  // "nsf" | "sf" | "offline" | "none"
   BuildPhase phase = BuildPhase::kIdle;
 
   // SF scan position vs the heap's current tail (Current-RID, 3.2.2).

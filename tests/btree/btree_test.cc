@@ -388,6 +388,57 @@ TEST_F(BTreeTest, IbBatchInsertSkipsDuplicatesAndTombstones) {
   EXPECT_TRUE(look.pseudo_deleted);
 }
 
+TEST_F(BTreeTest, IbSplitRejectsAnEntryInsertedDuringItsRedescent) {
+  // IB finds a leaf full and re-descends to split it, holding no latch in
+  // between.  A transaction that inserts IB's exact <key, RID> in that
+  // window turns IB's insert into a rejected duplicate (2.1.1): the IB
+  // split must not chase that entry from right page to right page.
+  BTree* tree = NewTree();
+  // A transaction appends even keys, which leaves full leaves behind, then
+  // deletes a few near the front: the first leaf has room for one more
+  // entry but stays above IB's fill factor.
+  Transaction* txn = engine_->Begin();
+  for (int i = 0; i < 400; ++i) {
+    const Rid rid(static_cast<PageId>(2 * i), 0);
+    ASSERT_OK(tree->Insert(txn, Key(2 * i), rid).status());
+  }
+  for (int i = 2; i < 8; ++i) {
+    ASSERT_OK(tree->PhysicalDelete(txn, Key(2 * i),
+                                   Rid(static_cast<PageId>(2 * i), 0)));
+  }
+  ASSERT_OK(engine_->Commit(txn));
+
+  // Key 1 goes second in the first leaf: IB must split for it.
+  const std::string odd = Key(1);
+  const Rid rid(1, 0);
+  FailPointPolicy delay;
+  delay.action = FailPointAction::kDelay;
+  delay.arg = 300'000;  // usec
+  FailPointRegistry::Instance().ArmPolicy("btree.ib_split", delay);
+  BTree::IbStats late;
+  Status s;
+  std::thread builder([&] {
+    Transaction* ib = engine_->Begin();
+    std::vector<IndexKeyRef> one{{odd, rid}};
+    s = tree->IbInsertBatch(ib, one, false, nullptr, &late);
+    if (s.ok()) s = engine_->Commit(ib);
+  });
+  while (FailPointRegistry::Instance().fired_count("btree.ib_split") == 0) {
+    std::this_thread::yield();
+  }
+  txn = engine_->Begin();
+  ASSERT_OK(tree->Insert(txn, odd, rid).status());
+  ASSERT_OK(engine_->Commit(txn));
+  builder.join();
+  ASSERT_OK(s);
+  EXPECT_EQ(late.inserted, 0u);
+  EXPECT_EQ(late.skipped_duplicates, 1u);
+  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup(odd, rid));
+  EXPECT_TRUE(look.found);
+  EXPECT_FALSE(look.pseudo_deleted);
+  ExpectStructurallySound(tree);
+}
+
 TEST_F(BTreeTest, IbBatchInsertLargeSortedStream) {
   BTree* tree = NewTree();
   const int n = 20000;

@@ -274,13 +274,12 @@ TEST(SyncTest, RankNamesCoverEveryRank) {
   for (LockRank r : {LockRank::kBuildPlan, LockRank::kDrainGate,
                      LockRank::kHeapExtend, LockRank::kSideFileExtend,
                      LockRank::kTxnActive, LockRank::kPageLatch,
-                     LockRank::kBufferShard, LockRank::kRecordBuilds,
-                     LockRank::kCatalog, LockRank::kHeapHints,
-                     LockRank::kSideFileCount, LockRank::kLockTable,
-                     LockRank::kWalFlush, LockRank::kWalDrain,
-                     LockRank::kRunStore, LockRank::kMergeQueue,
-                     LockRank::kDisk, LockRank::kFailPoint,
-                     LockRank::kObs}) {
+                     LockRank::kBufferShard, LockRank::kCatalog,
+                     LockRank::kHeapHints, LockRank::kSideFileCount,
+                     LockRank::kLockTable, LockRank::kWalFlush,
+                     LockRank::kWalDrain, LockRank::kRunStore,
+                     LockRank::kMergeQueue, LockRank::kDisk,
+                     LockRank::kFailPoint, LockRank::kObs}) {
     EXPECT_STRNE(LockRankName(r), "?") << static_cast<int>(r);
   }
 }

@@ -80,8 +80,8 @@ TEST_F(BuildMetaPersistTest, ReattachAddsFenceForInterruptedSfBuild) {
   ASSERT_OK_AND_ASSIGN(BuildMeta meta, LoadBuildMeta(engine_.get(), t));
   ASSERT_EQ(meta.fences.size(), 1u);
   EXPECT_EQ(meta.fences[0].size(), 1u);
-  // And the build is registered so transactions keep maintaining it.
-  EXPECT_NE(engine_->records()->GetBuild(t), nullptr);
+  // And the build is published so transactions keep maintaining it.
+  EXPECT_NE(engine_->catalog()->view(t)->build, nullptr);
   SfIndexBuilder resumed(engine_.get());
   ASSERT_OK(resumed.Resume(t, nullptr));
 }

@@ -83,7 +83,8 @@ TEST_F(CatalogTest, StateTransitionsPersist) {
                                            BuildAlgo::kSf);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->state, IndexState::kBuilding);
-  ASSERT_OK(engine_->catalog()->SetIndexReady(d->id));
+  ASSERT_OK(engine_->catalog()->BeginBuild(t, BuildAlgo::kSf, {d->id}).status());
+  ASSERT_OK(engine_->catalog()->FinishBuild(t));
   CrashAndRestart();
   ASSERT_OK_AND_ASSIGN(auto desc, engine_->catalog()->descriptor(d->id));
   EXPECT_EQ(desc.state, IndexState::kReady);

@@ -41,12 +41,10 @@ TEST_F(Figure2Test, InvisibleForwardVisibleRollbackAppendsInverse) {
   auto desc = engine_->catalog()->CreateIndex("i4", table, false, {0},
                                               BuildAlgo::kSf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.side_file = engine_->catalog()->side_file(desc->id);
-  ib.key_cols = {0};
-  auto build = engine_->records()->RegisterBuild(table, BuildAlgo::kSf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kSf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   build->SetCurrentRid(Rid::MinusInfinity());  // scan not started
 
   Transaction* t1 = engine_->Begin();
@@ -74,7 +72,6 @@ TEST_F(Figure2Test, InvisibleForwardVisibleRollbackAppendsInverse) {
   EXPECT_EQ(entries[0].key, Key("zzzzNEWKEY01"));
   EXPECT_EQ(entries[1].op, SideFileOp::kInsertKey);
   EXPECT_EQ(entries[1].key, Key(Workload::MakeKey(10, 12)));
-  engine_->records()->UnregisterBuild(table);
 }
 
 TEST_F(Figure2Test, CompletedSinceForwardGetsDirectLogicalUndo) {
@@ -134,13 +131,10 @@ TEST_F(Figure2Test, PaperSection323TwoIndexScenario) {
   auto d4 = engine_->catalog()->CreateIndex("i4", table, false, {0},
                                             BuildAlgo::kSf);
   ASSERT_TRUE(d4.ok());
-  InBuildIndex ib4;
-  ib4.id = d4->id;
-  ib4.tree = engine_->catalog()->index(d4->id);
-  ib4.side_file = engine_->catalog()->side_file(d4->id);
-  ib4.key_cols = {0};
-  auto build4 =
-      engine_->records()->RegisterBuild(table, BuildAlgo::kSf, {ib4});
+  ASSERT_OK_AND_ASSIGN(
+      auto build4,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kSf, {d4->id}));
+  const IndexRef& ib4 = build4->indexes[0];
   build4->SetCurrentRid(Rid::Infinity());
 
   // T1 rolls back: entry in the side-file for I4, logical undo in I3.
@@ -155,7 +149,6 @@ TEST_F(Figure2Test, PaperSection323TwoIndexScenario) {
                        t3->Lookup(Key(Workload::MakeKey(10, 12)), rids[10]));
   EXPECT_TRUE(look.found);
   ExpectIndexConsistent(table, i3);
-  engine_->records()->UnregisterBuild(table);
 }
 
 TEST_F(Figure2Test, VisibleForwardVisibleRollbackBothEntriesAppended) {
@@ -166,12 +159,10 @@ TEST_F(Figure2Test, VisibleForwardVisibleRollbackBothEntriesAppended) {
   auto desc = engine_->catalog()->CreateIndex("i", table, false, {0},
                                               BuildAlgo::kSf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.side_file = engine_->catalog()->side_file(desc->id);
-  ib.key_cols = {0};
-  auto build = engine_->records()->RegisterBuild(table, BuildAlgo::kSf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kSf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   build->SetCurrentRid(Rid::Infinity());
 
   Transaction* t1 = engine_->Begin();
@@ -185,7 +176,6 @@ TEST_F(Figure2Test, VisibleForwardVisibleRollbackBothEntriesAppended) {
   EXPECT_EQ(entries[0].op, SideFileOp::kDeleteKey);
   EXPECT_EQ(entries[1].op, SideFileOp::kInsertKey);
   EXPECT_EQ(entries[1].key, Key(Workload::MakeKey(5, 12)));
-  engine_->records()->UnregisterBuild(table);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "btree/tree_verifier.h"
 #include "core/index_builder.h"
@@ -109,7 +112,7 @@ TEST_F(NsfBuilderTest, PaperSection223Example) {
   auto rids = Populate(table, 100);
 
   // Drive the paper's exact interleaving by hand: create the descriptor
-  // under the short quiesce and register the build, then play IB's moves
+  // under the short quiesce and publish the build, then play IB's moves
   // through the tree interface.
   Transaction* quiesce = engine_->Begin();
   ASSERT_OK(engine_->locks()->Lock(quiesce->id(), TableLockId(table),
@@ -117,12 +120,10 @@ TEST_F(NsfBuilderTest, PaperSection223Example) {
   auto desc = engine_->catalog()->CreateIndex("nsf_idx", table, false, {0},
                                               BuildAlgo::kNsf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.unique = false;
-  ib.key_cols = {0};
-  engine_->records()->RegisterBuild(table, BuildAlgo::kNsf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kNsf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   ASSERT_OK(engine_->Commit(quiesce));
   BTree* tree = ib.tree;
 
@@ -166,7 +167,6 @@ TEST_F(NsfBuilderTest, PaperSection223Example) {
   EXPECT_FALSE(look.pseudo_deleted);
   EXPECT_TRUE(engine_->catalog()->table(table)->Exists(r));
 
-  engine_->records()->UnregisterBuild(table);
   (void)rids;
 }
 
@@ -182,11 +182,10 @@ TEST_F(NsfBuilderTest, DeleteDuringBuildLeavesTombstoneThatRejectsIb) {
   auto desc = engine_->catalog()->CreateIndex("nsf_idx", table, false, {0},
                                               BuildAlgo::kNsf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.key_cols = {0};
-  engine_->records()->RegisterBuild(table, BuildAlgo::kNsf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kNsf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   ASSERT_OK(engine_->Commit(quiesce));
 
   // IB extracted rids[3]'s key earlier (pretend); then a transaction
@@ -208,7 +207,79 @@ TEST_F(NsfBuilderTest, DeleteDuringBuildLeavesTombstoneThatRejectsIb) {
   EXPECT_EQ(stats.skipped_tombstones, 1u);
   ASSERT_OK_AND_ASSIGN(look, ib.tree->Lookup(key, rids[3]));
   EXPECT_TRUE(look.pseudo_deleted);
-  engine_->records()->UnregisterBuild(table);
+}
+
+TEST_F(NsfBuilderTest, UpdatesAcrossReadyFlipMaintainEachIndexOnce) {
+  // An update planned while the index turns ready maintains it once: as
+  // the NSF build's index or as a ready index, never as both.  Once the
+  // build reports kDone, IB's inserts are committed, so every current key
+  // is in the tree and no updater needs a tombstone or an undo-only
+  // insert; a second, NSF-style maintenance of the ready index adds both.
+  options_.enable_hash_index = true;  // hash.commit fires at the flip
+  ReopenWithOptions();
+  TableId table = MakeTable();
+  auto rids = Populate(table, 3000);
+  FailPointPolicy delay;
+  delay.action = FailPointAction::kDelay;
+  delay.arg = 50'000;  // usec: holds the ready flip open
+  FailPointRegistry::Instance().ArmPolicy("hash.commit", delay);
+
+  // Four updaters change the key of rows in their own 700-row range, one
+  // update per transaction, with a fresh same-width key each time.
+  constexpr uint64_t kRange = 700;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> updaters;
+  for (uint64_t t = 0; t < 4; ++t) {
+    updaters.emplace_back([&, t] {
+      for (uint64_t i = 0; !stop.load(); ++i) {
+        const Rid rid = rids[t * kRange + i % kRange];
+        std::string key = Workload::MakeKey(
+            3000 + t * 10'000'000 + i, WorkloadOptions().key_width);
+        Transaction* txn = engine_->Begin();
+        Status s = engine_->records()->UpdateRecord(
+            txn, table, rid,
+            Schema::EncodeRecord({key, std::string(32, 'u')}));
+        if (!s.ok()) {
+          (void)engine_->Rollback(txn);
+          failed.fetch_add(1);
+        } else if (!engine_->Commit(txn).ok()) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  const RecordManagerStats& rs = engine_->records()->stats();
+  std::atomic<bool> built{false};
+  bool saw_done = false;
+  uint64_t tombstones_at_done = 0, duplicates_at_done = 0;
+  std::thread monitor([&] {
+    while (!built.load()) {
+      if (engine_->GetBuildProgress(table).phase == obs::BuildPhase::kDone) {
+        tombstones_at_done = rs.tombstone_inserts.load();
+        duplicates_at_done = rs.nsf_duplicate_inserts.load();
+        saw_done = true;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  NsfIndexBuilder builder(engine_.get());
+  IndexId index;
+  Status s = builder.Build(Params(table), &index);
+  built.store(true);
+  monitor.join();
+  // Keep updating the ready index for a while before the final count.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true);
+  for (std::thread& u : updaters) u.join();
+  ASSERT_OK(s);
+  EXPECT_EQ(failed.load(), 0u);
+  ASSERT_TRUE(saw_done) << "the build never reported kDone";
+  EXPECT_EQ(rs.tombstone_inserts.load(), tombstones_at_done);
+  EXPECT_EQ(rs.nsf_duplicate_inserts.load(), duplicates_at_done);
+  ExpectIndexConsistent(table, index);
 }
 
 TEST_F(NsfBuilderTest, UniqueBuildSucceedsOnUniqueData) {
@@ -358,7 +429,7 @@ TEST_F(NsfBuilderTest, CancelDropsDescriptorUnderQuiesce) {
   IndexId index;
   Status s = builder.Build(Params(table), &index);
   ASSERT_TRUE(s.IsInjected());
-  ASSERT_OK(builder.Cancel(table));
+  ASSERT_OK(CancelBuild(engine_.get(), table));
   EXPECT_TRUE(engine_->catalog()->IndexesOf(table).empty());
   // Updates continue normally afterwards.
   Transaction* txn = engine_->Begin();

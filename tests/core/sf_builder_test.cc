@@ -223,17 +223,14 @@ TEST_F(SfBuilderTest, RollbackDuringBuildCompensatesViaSideFile) {
   TableId table = MakeTable();
   auto rids = Populate(table, 1000);
 
-  // Descriptor + registration by hand so we control the scan position.
+  // Descriptor + published build by hand so we control the scan position.
   auto desc = engine_->catalog()->CreateIndex("sf_idx", table, false, {0},
                                               BuildAlgo::kSf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.side_file = engine_->catalog()->side_file(desc->id);
-  ib.key_cols = {0};
-  auto build =
-      engine_->records()->RegisterBuild(table, BuildAlgo::kSf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kSf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   // Pretend the scan has passed everything.
   build->SetCurrentRid(Rid::Infinity());
 
@@ -257,7 +254,6 @@ TEST_F(SfBuilderTest, RollbackDuringBuildCompensatesViaSideFile) {
   EXPECT_EQ(entries[before].rid, rid);
   EXPECT_EQ(entries[before + 1].op, SideFileOp::kDeleteKey);
   EXPECT_EQ(entries[before + 1].rid, rid);
-  engine_->records()->UnregisterBuild(table);
   (void)rids;
 }
 
@@ -267,13 +263,10 @@ TEST_F(SfBuilderTest, InvisibleUpdatesMakeNoSideFileEntries) {
   auto desc = engine_->catalog()->CreateIndex("sf_idx", table, false, {0},
                                               BuildAlgo::kSf);
   ASSERT_TRUE(desc.ok());
-  InBuildIndex ib;
-  ib.id = desc->id;
-  ib.tree = engine_->catalog()->index(desc->id);
-  ib.side_file = engine_->catalog()->side_file(desc->id);
-  ib.key_cols = {0};
-  auto build =
-      engine_->records()->RegisterBuild(table, BuildAlgo::kSf, {ib});
+  ASSERT_OK_AND_ASSIGN(
+      auto build,
+      engine_->catalog()->BeginBuild(table, BuildAlgo::kSf, {desc->id}));
+  const IndexRef& ib = build->indexes[0];
   build->SetCurrentRid(Rid::MinusInfinity());  // scan not started
 
   Transaction* txn = engine_->Begin();
@@ -283,7 +276,6 @@ TEST_F(SfBuilderTest, InvisibleUpdatesMakeNoSideFileEntries) {
                 .status());
   ASSERT_OK(engine_->Commit(txn));
   EXPECT_EQ(ib.side_file->entries_appended(), 0u);
-  engine_->records()->UnregisterBuild(table);
 }
 
 TEST_F(SfBuilderTest, UniqueBuildSucceedsAndDetectsViolation) {
@@ -649,7 +641,7 @@ TEST_F(SfBuilderTest, CancelDropsEverything) {
   IndexId index;
   Status s = builder.Build(Params(table), &index);
   ASSERT_TRUE(s.IsInjected());
-  ASSERT_OK(builder.Cancel(table));
+  ASSERT_OK(CancelBuild(engine_.get(), table));
   EXPECT_TRUE(engine_->catalog()->IndexesOf(table).empty());
   Transaction* txn = engine_->Begin();
   ASSERT_OK(engine_->records()
