@@ -114,11 +114,12 @@ void BM_ExternalSortAndMerge(benchmark::State& state) {
   for (auto _ : state) {
     RunStore store;
     ExternalSorter sorter(&store, &options);
+    (void)sorter.CreateWriters(1);
     Random rng(7);
     for (size_t i = 0; i < n; ++i) {
-      (void)sorter.Add(Key8(rng.Next() % 100000000), Rid(1, 0));
+      (void)sorter.writer(0)->Add(Key8(rng.Next() % 100000000), Rid(1, 0));
     }
-    (void)sorter.FinishInput();
+    (void)sorter.FinishWriters();
     (void)sorter.PrepareMerge();
     auto cursor = sorter.OpenMerge();
     SortItem item;

@@ -75,8 +75,9 @@ Status DecodeKeyPayload(std::string_view in, KeyPayload* out);
 // serialized per entry and exactly mirrors the tree's contents.  Page
 // splits move entries without changing the logical set, so they emit
 // nothing.  Recovery redo runs before observers are attached (the hash
-// fragment repopulates from a scan afterwards); bulk loads bypass the
-// tree's mutation paths and populate the mirror explicitly.
+// fragment repopulates from a scan afterwards).  Bulk loads bypass the
+// tree's mutation paths; BulkLoader::Add notifies the observer itself,
+// under its own leaf X latch.
 //
 // Implementations must be cheap and must only acquire locks ranked above
 // kPageLatch (the hash fragment's kHashShard qualifies).

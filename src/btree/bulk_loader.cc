@@ -1,6 +1,7 @@
 #include "btree/bulk_loader.h"
 
 #include "common/coding.h"
+#include "common/failpoint.h"
 
 namespace oib {
 
@@ -98,6 +99,13 @@ Status BulkLoader::Add(KeySlice key, const Rid& rid) {
   ++keys_loaded_;
   high_key_.assign(key.data(), key.size());
   high_rid_ = rid;
+  // The appended entry bypassed the tree's mutation paths, so the loader
+  // notifies the entry observer (the hash mirror) itself, still under
+  // the leaf X latch.
+  if (IndexEntryObserver* observer = tree_->entry_observer()) {
+    OIB_FAIL_POINT("hash.populate");
+    observer->OnLeafInsert(key.view(), rid, 0);
+  }
   return Status::OK();
 }
 

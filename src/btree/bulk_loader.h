@@ -43,11 +43,12 @@ class BulkLoader {
   Status Begin();
 
   // Appends one key; keys must arrive in strictly ascending (key, rid)
-  // order.  Unique violations among consecutive keys surface as
-  // UniqueViolation when `unique` was set in Begin... (checked by caller).
-  // Admission is physically exact (EntryGrowth), so leaves whose keys
-  // compress well pack more entries per page; separators pushed into
-  // internal levels are suffix-truncated.
+  // order, and the caller checks uniqueness.  Admission is physically
+  // exact (EntryGrowth), so leaves whose keys compress well pack more
+  // entries per page; separators pushed into internal levels are
+  // suffix-truncated.  The tree's entry observer (the hash mirror) hears
+  // of each key under the leaf X latch; failpoint `hash.populate` fires
+  // once per key it is told of.
   Status Add(KeySlice key, const Rid& rid);
 
   // Completes internal levels and publishes the new root (anchor update is
@@ -71,7 +72,6 @@ class BulkLoader {
   void Abandon() { guards_.clear(); }
 
   uint64_t keys_loaded() const { return keys_loaded_; }
-  size_t pages_allocated() const { return allocated_.size(); }
   bool has_high_key() const { return keys_loaded_ > 0; }
   const std::string& high_key() const { return high_key_; }
   const Rid& high_rid() const { return high_rid_; }

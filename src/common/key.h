@@ -68,8 +68,6 @@ class KeySlice {
   size_t size_ = 0;
 };
 
-inline int CompareKeySlice(KeySlice a, KeySlice b) { return a.Compare(b); }
-
 inline bool operator==(KeySlice a, KeySlice b) { return a.Compare(b) == 0; }
 inline bool operator!=(KeySlice a, KeySlice b) { return a.Compare(b) != 0; }
 inline bool operator<(KeySlice a, KeySlice b) { return a.Compare(b) < 0; }

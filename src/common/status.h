@@ -79,9 +79,7 @@ class [[nodiscard]] Status {
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsDuplicateKey() const { return code_ == Code::kDuplicateKey; }
   bool IsUniqueViolation() const { return code_ == Code::kUniqueViolation; }
-  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsInjected() const { return code_ == Code::kInjected; }
-  bool IsCancelled() const { return code_ == Code::kCancelled; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }

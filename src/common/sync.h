@@ -369,12 +369,6 @@ class OIB_CAPABILITY("shared_mutex") SharedMutex {
 #endif
     mu_.lock_shared();
   }
-  bool TryLockShared() OIB_TRY_ACQUIRE_SHARED(true) {
-    internal::OnTryAcquire(&mu_, rank_, name_);
-    if (!mu_.try_lock_shared()) return false;
-    internal::OnTryAcquired(&mu_, rank_, name_);
-    return true;
-  }
   void UnlockShared() OIB_RELEASE_SHARED() {
     internal::OnRelease(&mu_, name_);
     mu_.unlock_shared();
@@ -552,7 +546,6 @@ class CondVar {
     return cv_.wait_until(mu, deadline);
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -10,6 +10,8 @@
 #include "common/coding.h"
 #include "common/failpoint.h"
 #include "common/sync.h"
+#include "core/engine.h"
+#include "core/index_builder.h"
 #include "core/schema.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -79,6 +81,16 @@ StatusOr<ScanPlan> PlanPartitionedScan(const HeapFile* heap, PageId stop_page,
   return plan;
 }
 
+StatusOr<ScanPlan> LoadOrPlanScan(const HeapFile* heap,
+                                  const std::string& blob, PageId stop_page,
+                                  size_t threads) {
+  if (blob.empty()) return PlanPartitionedScan(heap, stop_page, threads);
+  ScanPlan plan;
+  OIB_RETURN_IF_ERROR(DecodeScanPlan(blob, &plan));
+  if (plan.parts.empty()) return Status::Corruption("empty scan plan");
+  return plan;
+}
+
 Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
                               const std::vector<ScanTarget>& targets,
                               ScanPlan* plan, const ScanHooks& hooks,
@@ -113,11 +125,7 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   PageId tail_last = kInvalidPageId;
 
   auto work = [&](size_t k) -> Status {
-    const char* span_name = "build.scan";
-    if (hooks.span_names != nullptr && hooks.span_name_count > 0) {
-      span_name = hooks.span_names[std::min(k, hooks.span_name_count - 1)];
-    }
-    obs::ScopedSpan span(tracer, span_name);
+    obs::ScopedSpan span(tracer, hooks.span_name, k);
     auto t0 = std::chrono::steady_clock::now();
     PageId next, bound;
     {
@@ -230,14 +238,33 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   return first;
 }
 
+Status BuildPipeline::FinishSort(const std::vector<ScanTarget>& targets,
+                                 const ScanResult& scan, BuildStats* stats,
+                                 std::vector<std::string>* sort_blobs) {
+  stats->keys_extracted = scan.keys_extracted;
+  stats->data_pages_scanned = scan.pages_scanned;
+  stats->checkpoints += scan.checkpoints;
+  stats->scan_ms = scan.busy_ms;
+  if (sort_blobs != nullptr) sort_blobs->clear();
+  for (const ScanTarget& t : targets) {
+    OIB_RETURN_IF_ERROR(t.sorter->FinishWriters());
+    OIB_RETURN_IF_ERROR(t.sorter->PrepareMerge());
+    stats->sort_runs += t.sorter->runs().size();
+    if (sort_blobs != nullptr) {
+      auto blob = t.sorter->CheckpointSortPhase();
+      if (!blob.ok()) return blob.status();
+      sort_blobs->push_back(std::move(*blob));
+    }
+  }
+  return Status::OK();
+}
+
 Status BuildPipeline::MergeToConsumer(
-    MergeCursor* cursor, size_t batch_keys, size_t queue_depth,
-    bool overlapped, const std::function<Status(const Batch&)>& consume,
-    MergeStats* stats) {
-  if (batch_keys == 0) batch_keys = 1;
+    MergeCursor* cursor, bool overlapped,
+    const std::function<Status(const Batch&)>& consume, MergeStats* stats) {
   MergeStats local;
 
-  // Pulls up to batch_keys items; false when the stream is exhausted and
+  // Pulls up to kMergeBatchKeys items; false when the stream is exhausted and
   // nothing was pulled.  The counters snapshot identifies the position
   // *after* the batch (§5.2), i.e. the consumer's checkpoint.
   auto fill = [&](Batch* b) -> StatusOr<bool> {
@@ -247,9 +274,9 @@ Status BuildPipeline::MergeToConsumer(
     obs::ScopedSpan span(&obs::Tracer::Default(), "build.merge");
     auto t0 = std::chrono::steady_clock::now();
     b->items.clear();
-    b->items.reserve(batch_keys);
+    b->items.reserve(kMergeBatchKeys);
     SortItem item;
-    while (b->items.size() < batch_keys) {
+    while (b->items.size() < kMergeBatchKeys) {
       auto more = cursor->Next(&item);
       if (!more.ok()) return more.status();
       if (!*more) break;
@@ -262,7 +289,7 @@ Status BuildPipeline::MergeToConsumer(
   };
 
   Status status;
-  if (!overlapped || queue_depth == 0) {
+  if (!overlapped) {
     for (;;) {
       Batch b;
       auto more = fill(&b);
@@ -279,7 +306,7 @@ Status BuildPipeline::MergeToConsumer(
       }
       local.consume_busy_ms += MsSince(t0);
       if (!status.ok()) break;
-      if (b.items.size() < batch_keys) break;  // stream ended mid-batch
+      if (b.items.size() < kMergeBatchKeys) break;  // stream ended mid-batch
     }
   } else {
     obs::Gauge* depth_gauge =
@@ -307,8 +334,9 @@ Status BuildPipeline::MergeToConsumer(
           can_pop.NotifyAll();
           return;
         }
-        const bool last = b.items.size() < batch_keys;
-        can_push.Wait(mu, [&] { return queue.size() < queue_depth || abort; });
+        const bool last = b.items.size() < kMergeBatchKeys;
+        can_push.Wait(
+            mu, [&] { return queue.size() < kMergeQueueDepth || abort; });
         if (abort) return;
         queue.push_back(std::move(b));
         depth_gauge->Set(static_cast<int64_t>(queue.size()));
@@ -357,6 +385,44 @@ Status BuildPipeline::MergeToConsumer(
     stats->consume_busy_ms += local.consume_busy_ms;
   }
   return status;
+}
+
+void SortedUniqueCheck::Seed(std::string_view key, const Rid& rid) {
+  prev_key_.assign(key);
+  prev_rid_ = rid;
+  has_prev_ = true;
+}
+
+Status SortedUniqueCheck::Check(TxnId locker, const SortItem& item) {
+  if (!unique_) return Status::OK();
+  if (has_prev_ && item.key.view() == prev_key_ && !(item.rid == prev_rid_)) {
+    OIB_RETURN_IF_ERROR(VerifyUniqueConflict(engine_, locker, table_,
+                                             key_cols_, key_types_,
+                                             item.key.view(), prev_rid_,
+                                             item.rid));
+  }
+  Seed(item.key.view(), item.rid);
+  return Status::OK();
+}
+
+BuildMeter::BuildMeter(Engine* engine)
+    : engine_(engine),
+      key_bytes_raw_(engine->runs()->raw_key_bytes()),
+      key_bytes_stored_(engine->runs()->stored_key_bytes()),
+      start_(std::chrono::steady_clock::now()) {
+  LogStats log = engine->log()->stats();
+  log_records_ = log.records;
+  log_bytes_ = log.bytes;
+}
+
+void BuildMeter::Finish(BuildStats* stats) const {
+  LogStats log = engine_->log()->stats();
+  stats->log_records = log.records - log_records_;
+  stats->log_bytes = log.bytes - log_bytes_;
+  stats->key_bytes_moved = engine_->runs()->raw_key_bytes() - key_bytes_raw_;
+  stats->key_bytes_stored =
+      engine_->runs()->stored_key_bytes() - key_bytes_stored_;
+  stats->elapsed_ms = MsSince(start_);
 }
 
 }  // namespace oib

@@ -21,6 +21,12 @@
 // With build_threads == 1 both stages run inline on the calling thread
 // and are step-for-step equivalent to the original sequential builders
 // (same failpoint cadence, same checkpoint positions).
+//
+// The stages around them are shared too: planning or decoding the scan
+// plan (LoadOrPlanScan), ending the sort phase (FinishSort), the sorted
+// stream's unique check (SortedUniqueCheck) and a build's log and key-byte
+// costs (BuildMeter).  What stays in each builder is what the paper makes
+// different: its quiesce or lock, and what it does with the sorted keys.
 
 #ifndef OIB_CORE_BUILD_PIPELINE_H_
 #define OIB_CORE_BUILD_PIPELINE_H_
@@ -44,6 +50,8 @@ inline double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+class Engine;
+struct BuildStats;
 namespace obs {
 class Tracer;
 }  // namespace obs
@@ -76,6 +84,12 @@ Status DecodeScanPlan(const std::string& blob, ScanPlan* plan);
 StatusOr<ScanPlan> PlanPartitionedScan(const HeapFile* heap, PageId stop_page,
                                        size_t threads);
 
+// A build's scan plan: decoded from its phase-1 checkpoint `blob`, or
+// planned afresh by PlanPartitionedScan when the build has none yet.
+StatusOr<ScanPlan> LoadOrPlanScan(const HeapFile* heap,
+                                  const std::string& blob, PageId stop_page,
+                                  size_t threads);
+
 class BuildPipeline {
  public:
   struct ScanTarget {
@@ -96,10 +110,9 @@ class BuildPipeline {
     std::function<void(uint64_t keys)> keys_progress;
     // Failpoint name checked once per page per worker (crash tests).
     const char* failpoint = nullptr;
-    // Per-partition span names (static literals); workers beyond
-    // span_name_count reuse the last name.
-    const char* const* span_names = nullptr;
-    size_t span_name_count = 0;
+    // Span of each partition worker (a static literal); its arg is the
+    // partition index.
+    const char* span_name = "build.scan";
   };
 
   struct ScanResult {
@@ -118,11 +131,19 @@ class BuildPipeline {
   // Checkpoints fire per partition every `checkpoint_every_keys` extracted
   // keys (0 disables them).  On success the targets' writers are still
   // open: the caller may append tail keys (SF extension race) and must
-  // then call FinishWriters() on each sorter before merging.
+  // then call FinishSort before merging.
   static Status RunScan(const HeapFile* heap, obs::Tracer* tracer,
                         const std::vector<ScanTarget>& targets, ScanPlan* plan,
                         const ScanHooks& hooks, size_t checkpoint_every_keys,
                         ScanResult* result);
+
+  // Ends the sort phase after RunScan (and any tail keys): records `scan`
+  // in *stats, drains every target's writers, prepares its merge and
+  // counts its runs.  When `sort_blobs` is given, it receives each
+  // target's §5.1 sort checkpoint, in target order.
+  static Status FinishSort(const std::vector<ScanTarget>& targets,
+                           const ScanResult& scan, BuildStats* stats,
+                           std::vector<std::string>* sort_blobs);
 
   // One merge->consumer hand-off unit.  `counters` is the §5.2 merge
   // checkpoint vector *after* the batch's last item: a consumer that has
@@ -137,22 +158,72 @@ class BuildPipeline {
     double consume_busy_ms = 0.0;
   };
 
-  // What the builders pass to MergeToConsumer: sorted items per batch
-  // (also the consumer's checkpoint grain) and, when the merge runs on its
-  // own thread, batches in flight (2 = classic double buffering).
+  // Sorted items per batch (also the consumer's checkpoint grain) and,
+  // when the merge runs on its own thread, batches in flight (2 = classic
+  // double buffering).
   static constexpr size_t kMergeBatchKeys = 1024;
   static constexpr size_t kMergeQueueDepth = 2;
 
-  // Streams `cursor` into `consume` in batches of `batch_keys` items.
+  // Streams `cursor` into `consume` in batches of kMergeBatchKeys items.
   // When `overlapped`, the merge runs on a producer thread behind a
-  // bounded queue of `queue_depth` batches (gauge "build.merge_queued"
+  // bounded queue of kMergeQueueDepth batches (gauge "build.merge_queued"
   // holds the current occupancy); `consume` always runs on the calling
   // thread.  The first non-OK status from either side stops the pipeline
   // and is returned.
   static Status MergeToConsumer(
-      MergeCursor* cursor, size_t batch_keys, size_t queue_depth,
-      bool overlapped, const std::function<Status(const Batch&)>& consume,
+      MergeCursor* cursor, bool overlapped,
+      const std::function<Status(const Batch&)>& consume,
       MergeStats* stats = nullptr);
+};
+
+// Section 2.2.3's stream-level unique check, for a unique index: two
+// adjacent equal key values in the sorted stream are two records with the
+// same value.  Check verifies such a pair with the lock protocol
+// (VerifyUniqueConflict) before the index sees the second key; the
+// in-tree checks catch conflicts with transactions' own entries.  A
+// no-op for a non-unique index.
+class SortedUniqueCheck {
+ public:
+  SortedUniqueCheck(Engine* engine, TableId table, bool unique,
+                    const std::vector<uint32_t>& key_cols,
+                    const std::vector<KeyColumnType>& key_types)
+      : engine_(engine), table_(table), unique_(unique), key_cols_(key_cols),
+        key_types_(key_types) {}
+
+  // Continues a stream whose last key was (key, rid), e.g. the high key
+  // of a resumed bulk load.
+  void Seed(std::string_view key, const Rid& rid);
+  // OK when `item` may enter the index; UniqueViolation ends the build.
+  // `locker` takes the verification's record S locks.
+  Status Check(TxnId locker, const SortItem& item);
+
+ private:
+  Engine* engine_;
+  TableId table_;
+  bool unique_;
+  std::vector<uint32_t> key_cols_;
+  std::vector<KeyColumnType> key_types_;
+  std::string prev_key_;
+  Rid prev_rid_;
+  bool has_prev_ = false;
+};
+
+// The engine's log and run-store counters and the clock at a build's
+// start.  Finish writes the build's deltas into stats->log_records,
+// log_bytes, key_bytes_moved, key_bytes_stored and its wall-clock time
+// into stats->elapsed_ms.
+class BuildMeter {
+ public:
+  explicit BuildMeter(Engine* engine);
+  void Finish(BuildStats* stats) const;
+
+ private:
+  Engine* engine_;
+  uint64_t log_records_;
+  uint64_t log_bytes_;
+  uint64_t key_bytes_raw_;
+  uint64_t key_bytes_stored_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace oib

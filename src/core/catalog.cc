@@ -144,10 +144,8 @@ StatusOr<IndexDescriptor> Catalog::CreateIndex(
   OIB_RETURN_IF_ERROR(tree->Create());
 
   // The hash mirror attaches before the tree is published, so every leaf
-  // mutation the tree will ever see is reflected; under NSF that alone
-  // keeps the mirror complete (IbInsertBatch notifies), under SF/offline
-  // the bulk loader bypasses the tree paths and the builder's consume
-  // stage BulkAdds explicitly.
+  // mutation the tree will ever see is reflected: NSF's IbInsertBatch and
+  // the SF/offline bulk loader notify it like every other entry change.
   std::unique_ptr<HashIndex> hash;
   if (options_->enable_hash_index) {
     hash = std::make_unique<HashIndex>(id, options_->hash_index_shards);

@@ -34,9 +34,10 @@ bool GetCounters(BufferReader* r, std::vector<uint64_t>* counters) {
 // keys, loader high keys, side-file positions) are normalized
 // byte-comparable encodings and runs are prefix-compressed; a v1
 // checkpoint's raw concatenated keys would silently mis-sort against
-// them, so decoding rejects any other version and the build restarts
-// from scratch.
-inline constexpr uint8_t kBuildMetaVersion = 2;
+// them.  v3: the phase-2 sort checkpoints of NSF and SF are the bare run
+// list, with no caller-state prefix.  Decoding rejects any other version
+// and the build restarts from scratch.
+inline constexpr uint8_t kBuildMetaVersion = 3;
 
 std::string EncodeBuildMeta(const BuildMeta& meta) {
   std::string blob;

@@ -56,10 +56,6 @@ Status DecodeNsfInsertState(const std::string& blob, std::string* sort_blob,
   return Status::OK();
 }
 
-constexpr const char* kNsfScanSpans[] = {
-    "nsf.scan.p0", "nsf.scan.p1", "nsf.scan.p2", "nsf.scan.p3",
-    "nsf.scan.p4", "nsf.scan.p5", "nsf.scan.p6", "nsf.scan.p7"};
-
 }  // namespace
 
 Status NsfIndexBuilder::Build(const BuildParams& params, IndexId* out,
@@ -154,12 +150,9 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   ActiveBuild* build = view->build.get();
   BTree* tree = build->indexes[0].tree;
   const Options& options = engine_->options();
-  LogStats log_before = engine_->log()->stats();
-  uint64_t key_raw_before = engine_->runs()->raw_key_bytes();
-  uint64_t key_stored_before = engine_->runs()->stored_key_bytes();
+  BuildMeter meter(engine_);
   BuildStats local;
   obs::Tracer* tracer = engine_->tracer();
-  auto t_run = std::chrono::steady_clock::now();
 
   ExternalSorter sorter(engine_->runs(), &options);
   BuildMeta meta;
@@ -178,21 +171,15 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
     // directly by transactions (section 2.3.1).
     build->SetPhase(obs::BuildPhase::kScan);
     obs::ScopedSpan scan_span(tracer, "nsf.scan");
-    ScanPlan plan;
-    if (!phase_blob.empty()) {
-      OIB_RETURN_IF_ERROR(DecodeScanPlan(phase_blob, &plan));
-      if (plan.parts.empty()) return Status::Corruption("nsf scan plan");
-    } else {
-      auto planned = PlanPartitionedScan(heap, heap->tail_page(),
-                                         options.build_threads);
-      if (!planned.ok()) return planned.status();
-      plan = std::move(*planned);
-    }
+    auto plan = LoadOrPlanScan(heap, phase_blob, heap->tail_page(),
+                               options.build_threads);
+    if (!plan.ok()) return plan.status();
 
+    std::vector<BuildPipeline::ScanTarget> targets = {
+        {params.key_cols, params.key_types, &sorter}};
     BuildPipeline::ScanHooks hooks;
     hooks.failpoint = "nsf.scan";
-    hooks.span_names = kNsfScanSpans;
-    hooks.span_name_count = 8;
+    hooks.span_name = "nsf.scan.part";
     hooks.checkpoint = [&](const std::string& blob) -> Status {
       obs::ScopedSpan ckpt_span(tracer, "nsf.ckpt");
       meta.phase = 1;
@@ -203,26 +190,18 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
       build->keys_done.fetch_add(n, std::memory_order_relaxed);
     };
     BuildPipeline::ScanResult scan_res;
-    Status s = BuildPipeline::RunScan(
-        heap, tracer, {{params.key_cols, params.key_types, &sorter}}, &plan,
-        hooks, options.sort_checkpoint_every_keys, &scan_res);
-    local.keys_extracted = scan_res.keys_extracted;
-    local.data_pages_scanned = scan_res.pages_scanned;
-    local.checkpoints += scan_res.checkpoints;
-    local.scan_ms = scan_res.busy_ms;
-    if (!s.ok()) return s;
-
-    scan_span.set_arg(local.keys_extracted);
+    OIB_RETURN_IF_ERROR(BuildPipeline::RunScan(
+        heap, tracer, targets, &*plan, hooks,
+        options.sort_checkpoint_every_keys, &scan_res));
+    scan_span.set_arg(scan_res.keys_extracted);
     scan_span.End();
+
     build->SetPhase(obs::BuildPhase::kSortMerge);
     obs::ScopedSpan sort_span(tracer, "nsf.sort.merge_prep");
-    OIB_RETURN_IF_ERROR(sorter.FinishWriters());
-    OIB_RETURN_IF_ERROR(sorter.PrepareMerge());
-    local.sort_runs = sorter.runs().size();
-
-    auto blob = sorter.CheckpointSortPhase("");
-    if (!blob.ok()) return blob.status();
-    final_sort_blob = *blob;
+    std::vector<std::string> sort_blobs;
+    OIB_RETURN_IF_ERROR(
+        BuildPipeline::FinishSort(targets, scan_res, &local, &sort_blobs));
+    final_sort_blob = std::move(sort_blobs[0]);
     meta.phase = 2;
     meta.phase_blob =
         EncodeNsfInsertState(final_sort_blob, false, {}, 0);
@@ -230,8 +209,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   } else {
     OIB_RETURN_IF_ERROR(DecodeNsfInsertState(
         phase_blob, &final_sort_blob, &has_counters, &counters, &inserted));
-    auto caller = sorter.ResumeSortPhase(final_sort_blob);
-    if (!caller.ok()) return caller.status();
+    OIB_RETURN_IF_ERROR(sorter.ResumeSortPhase(final_sort_blob));
     local.sort_runs = sorter.runs().size();
   }
 
@@ -262,13 +240,10 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   std::vector<std::pair<std::string, Rid>> batch;
   uint64_t last_ckpt_inserted = inserted;
   batch.reserve(options.ib_keys_per_call);
-  // Stream-level unique detection: adjacent equal key values in the
-  // sorted stream are two records with the same value — verify with the
-  // lock protocol before the tree ever sees them (the in-tree neighbour
-  // check below catches IB-vs-transaction conflicts).
-  std::string prev_key;
-  Rid prev_rid;
-  bool has_prev = false;
+  // The in-tree neighbour check (on_conflict) catches IB-vs-transaction
+  // conflicts; this one catches two records of the sorted stream.
+  SortedUniqueCheck unique_check(engine_, params.table, params.unique,
+                                 params.key_cols, params.key_types);
 
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
@@ -291,15 +266,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   // insert batch is flushed.
   auto consume = [&](const BuildPipeline::Batch& mb) -> Status {
     for (const SortItem& item : mb.items) {
-      if (params.unique && has_prev && item.key.view() == prev_key &&
-          !(item.rid == prev_rid)) {
-        OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
-            engine_, txn->id(), params.table, params.key_cols,
-            params.key_types, item.key.view(), prev_rid, item.rid));
-      }
-      prev_key.assign(item.key.data(), item.key.size());
-      prev_rid = item.rid;
-      has_prev = true;
+      OIB_RETURN_IF_ERROR(unique_check.Check(txn->id(), item));
       batch.emplace_back(const_cast<SortItem&>(item).key.TakeBytes(),
                          item.rid);
       if (batch.size() >= options.ib_keys_per_call) {
@@ -330,9 +297,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   BuildPipeline::MergeStats merge_stats;
   {
     Status s = BuildPipeline::MergeToConsumer(
-        cursor->get(), BuildPipeline::kMergeBatchKeys,
-        BuildPipeline::kMergeQueueDepth, options.build_threads > 1, consume,
-        &merge_stats);
+        cursor->get(), options.build_threads > 1, consume, &merge_stats);
     if (s.ok()) s = flush_batch();
     if (!s.ok()) {
       if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
@@ -355,13 +320,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   OIB_RETURN_IF_ERROR(catalog->FinishBuild(params.table));
   OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, params.table));
 
-  LogStats log_after = engine_->log()->stats();
-  local.log_records = log_after.records - log_before.records;
-  local.log_bytes = log_after.bytes - log_before.bytes;
-  local.key_bytes_moved = engine_->runs()->raw_key_bytes() - key_raw_before;
-  local.key_bytes_stored =
-      engine_->runs()->stored_key_bytes() - key_stored_before;
-  local.elapsed_ms = MsSince(t_run);
+  meter.Finish(&local);
   if (stats != nullptr) {
     local.quiesce_ms = stats->quiesce_ms;  // preserved from Build()
     local.elapsed_ms += stats->quiesce_ms;

@@ -124,10 +124,6 @@ bool FencedOut(const std::vector<SideFileFence>& fences, uint64_t ordinal,
   return false;
 }
 
-constexpr const char* kSfScanSpans[] = {
-    "sf.scan.p0", "sf.scan.p1", "sf.scan.p2", "sf.scan.p3",
-    "sf.scan.p4", "sf.scan.p5", "sf.scan.p6", "sf.scan.p7"};
-
 // One run of an SF build, from whichever phase it starts at to the end.
 // The phase functions share this state.  A phase returns an injected
 // fault as-is, leaving the durable checkpoints for Resume; any other
@@ -153,7 +149,8 @@ class SfRun {
   const IndexRef& ix(size_t i) const { return build_->indexes[i]; }
   // Phase 1: partitioned scan + pipelined sort, then merge preparation.
   Status Scan(const std::string& phase_blob);
-  Status ExtractLateTail(PageId last_scanned, size_t tail_writer);
+  Status ExtractLateTail(size_t tail_writer,
+                         BuildPipeline::ScanResult* scan);
   // Phase 2: bottom-up load of indexes [loading_idx, n).
   Status Load(uint32_t loading_idx, const std::string& loader_blob);
   Status LoadIndex(uint32_t idx, const std::string& loader_blob);
@@ -228,10 +225,7 @@ Status SfRun::Init() {
 
 Status SfRun::Run(int start_phase, const std::string& phase_blob,
                   BuildStats* stats) {
-  LogStats log_before = engine_->log()->stats();
-  uint64_t key_raw_before = engine_->runs()->raw_key_bytes();
-  uint64_t key_stored_before = engine_->runs()->stored_key_bytes();
-  auto t_run = std::chrono::steady_clock::now();
+  BuildMeter meter(engine_);
   OIB_RETURN_IF_ERROR(Init());
 
   uint32_t loading_idx = 0;
@@ -242,8 +236,7 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
     OIB_RETURN_IF_ERROR(DecodeSfLoadState(phase_blob, &loading_idx,
                                           &sort_blobs_, &loader_blob));
     for (size_t i = loading_idx; i < n_; ++i) {
-      auto caller = sorters_[i]->ResumeSortPhase(sort_blobs_[i]);
-      if (!caller.ok()) return caller.status();
+      OIB_RETURN_IF_ERROR(sorters_[i]->ResumeSortPhase(sort_blobs_[i]));
     }
   }
 
@@ -258,11 +251,12 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
   }
 
   // A resumed build skipped Catalog::Load's hash population (the tree's
-  // tail may have been torn at that point) and phase-2 consume only saw
-  // keys loaded in this run, so the mirrors may be missing a prefix — or
-  // whole trees loaded before the crash.  Updaters never touch an
-  // SF-building tree directly (they route through the side-file), so the
-  // trees are stable here and a full rescan rebuilds every mirror.
+  // tail may have been torn at that point) and the loader notified the
+  // mirrors only of keys loaded in this run, so they may be missing a
+  // prefix — or whole trees loaded before the crash.  Updaters never
+  // touch an SF-building tree directly (they route through the
+  // side-file), so the trees are stable here and a full rescan rebuilds
+  // every mirror.
   if (start_phase >= 2) {
     for (size_t i = 0; i < n_; ++i) {
       if (ix(i).hash != nullptr) {
@@ -277,14 +271,7 @@ Status SfRun::Run(int start_phase, const std::string& phase_blob,
   OIB_RETURN_IF_ERROR(Finalize());
   OIB_RETURN_IF_ERROR(ClearBuildMeta(engine_, table_));
   stats_.apply_ms = MsSince(t_apply);
-
-  LogStats log_after = engine_->log()->stats();
-  stats_.log_records = log_after.records - log_before.records;
-  stats_.log_bytes = log_after.bytes - log_before.bytes;
-  stats_.key_bytes_moved = engine_->runs()->raw_key_bytes() - key_raw_before;
-  stats_.key_bytes_stored =
-      engine_->runs()->stored_key_bytes() - key_stored_before;
-  stats_.elapsed_ms = MsSince(t_run);
+  meter.Finish(&stats_);
   if (stats != nullptr) *stats = stats_;
   return Status::OK();
 }
@@ -294,16 +281,9 @@ Status SfRun::Scan(const std::string& phase_blob) {
   // maximum extracted page across all workers.
   build_->SetPhase(obs::BuildPhase::kScan);
   obs::ScopedSpan scan_span(tracer_, "sf.scan");
-  ScanPlan plan;
-  if (!phase_blob.empty()) {
-    OIB_RETURN_IF_ERROR(DecodeScanPlan(phase_blob, &plan));
-    if (plan.parts.empty()) return Status::Corruption("sf scan plan");
-  } else {
-    auto planned =
-        PlanPartitionedScan(heap_, kInvalidPageId, options_.build_threads);
-    if (!planned.ok()) return planned.status();
-    plan = std::move(*planned);
-  }
+  auto plan = LoadOrPlanScan(heap_, phase_blob, kInvalidPageId,
+                             options_.build_threads);
+  if (!plan.ok()) return plan.status();
 
   std::vector<BuildPipeline::ScanTarget> targets;
   targets.reserve(n_);
@@ -314,8 +294,7 @@ Status SfRun::Scan(const std::string& phase_blob) {
   ActiveBuild* build = build_.get();
   BuildPipeline::ScanHooks hooks;
   hooks.failpoint = "sf.scan";
-  hooks.span_names = kSfScanSpans;
-  hooks.span_name_count = 8;
+  hooks.span_name = "sf.scan.part";
   hooks.page_scanned = [build](PageId page) {
     // Still holding the page's S latch: every record in this page is
     // now "behind" the scan.  CAS-max keeps the global frontier
@@ -336,35 +315,24 @@ Status SfRun::Scan(const std::string& phase_blob) {
   };
   BuildPipeline::ScanResult scan_res;
   OIB_RETURN_IF_ERROR(BuildPipeline::RunScan(
-      heap_, tracer_, targets, &plan, hooks,
+      heap_, tracer_, targets, &*plan, hooks,
       options_.sort_checkpoint_every_keys, &scan_res));
-  stats_.keys_extracted = scan_res.keys_extracted;
-  stats_.data_pages_scanned = scan_res.pages_scanned;
-  stats_.checkpoints += scan_res.checkpoints;
-  stats_.scan_ms = scan_res.busy_ms;
 
   build_->SetCurrentRid(Rid::Infinity());
-  OIB_RETURN_IF_ERROR(
-      ExtractLateTail(scan_res.tail_last_scanned, plan.parts.size() - 1));
-  scan_span.set_arg(stats_.keys_extracted);
+  OIB_RETURN_IF_ERROR(ExtractLateTail(plan->parts.size() - 1, &scan_res));
+  scan_span.set_arg(scan_res.keys_extracted);
   scan_span.End();
 
   build_->SetPhase(obs::BuildPhase::kSortMerge);
   obs::ScopedSpan sort_span(tracer_, "sf.sort.merge_prep");
-  sort_blobs_.clear();
-  for (size_t i = 0; i < n_; ++i) {
-    OIB_RETURN_IF_ERROR(sorters_[i]->FinishWriters());
-    OIB_RETURN_IF_ERROR(sorters_[i]->PrepareMerge());
-    stats_.sort_runs += sorters_[i]->runs().size();
-    auto b = sorters_[i]->CheckpointSortPhase("");
-    if (!b.ok()) return b.status();
-    sort_blobs_.push_back(std::move(*b));
-  }
+  OIB_RETURN_IF_ERROR(
+      BuildPipeline::FinishSort(targets, scan_res, &stats_, &sort_blobs_));
   meta_.current_rid = PackRid(Rid::Infinity());
   return SaveProgress(2, EncodeSfLoadState(0, sort_blobs_, ""));
 }
 
-Status SfRun::ExtractLateTail(PageId last_scanned, size_t tail_writer) {
+Status SfRun::ExtractLateTail(size_t tail_writer,
+                              BuildPipeline::ScanResult* scan) {
   // Extension race: a transaction may have chained a new page after the
   // tail worker read next == invalid but before Current-RID became
   // infinity; its inserts decided "invisible" and made no side-file
@@ -374,6 +342,7 @@ Status SfRun::ExtractLateTail(PageId last_scanned, size_t tail_writer) {
   // side-file — the extraction below is then merely redundant, which
   // the tolerant apply handles).  Tail keys land in the last
   // partition's still-open run writer.
+  const PageId last_scanned = scan->tail_last_scanned;
   if (last_scanned == kInvalidPageId) return Status::OK();
   // Records on last_scanned were already extracted; only the link
   // matters (ExtractPage reads it under the latch).
@@ -392,10 +361,10 @@ Status SfRun::ExtractLateTail(PageId last_scanned, size_t tail_writer) {
         OIB_RETURN_IF_ERROR(
             sorters_[i]->writer(tail_writer)->Add(key_buf, rid));
       }
-      ++stats_.keys_extracted;
+      ++scan->keys_extracted;
       build_->keys_done.fetch_add(1, std::memory_order_relaxed);
     }
-    ++stats_.data_pages_scanned;
+    ++scan->pages_scanned;
   }
   return Status::OK();
 }
@@ -433,39 +402,20 @@ Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
   if (!cursor.ok()) return cursor.status();
 
   const IndexRef& desc = ix(idx);
-  std::string prev_key;
-  Rid prev_rid;
-  bool has_prev = loader.has_high_key();
-  if (has_prev) {
-    prev_key = loader.high_key();
-    prev_rid = loader.high_rid();
+  SortedUniqueCheck unique_check(engine_, table_, desc.unique, desc.key_cols,
+                                 desc.key_types);
+  if (loader.has_high_key()) {
+    unique_check.Seed(loader.high_key(), loader.high_rid());
   }
   uint64_t since_ckpt = 0;
-  // Feed the hash mirror alongside the loader: bulk-loaded leaves bypass
-  // the tree's mutation choke points, so the observer never fires for
-  // them.  A resumed build re-scans the whole tree after this phase (see
-  // Run), so missing the pre-crash prefix is fine.
-  HashIndex* hash = desc.hash;
   // Checkpoints happen at merge-batch boundaries, where the batch's
   // counters snapshot identifies the merge position the consumer has
   // actually reached (the shared cursor runs ahead under overlap).
   auto consume = [&](const BuildPipeline::Batch& mb) -> Status {
     for (const SortItem& item : mb.items) {
       OIB_FAIL_POINT("sf.load");
-      if (desc.unique && has_prev && item.key.view() == prev_key &&
-          !(item.rid == prev_rid)) {
-        OIB_RETURN_IF_ERROR(VerifyUniqueConflict(
-            engine_, txn_->id(), table_, desc.key_cols, desc.key_types,
-            item.key.view(), prev_rid, item.rid));
-      }
+      OIB_RETURN_IF_ERROR(unique_check.Check(txn_->id(), item));
       OIB_RETURN_IF_ERROR(loader.Add(item.key, item.rid));
-      if (hash != nullptr) {
-        OIB_FAIL_POINT("hash.populate");
-        hash->BulkAdd(item.key.view(), item.rid, 0);
-      }
-      prev_key.assign(item.key.data(), item.key.size());
-      prev_rid = item.rid;
-      has_prev = true;
       ++stats_.keys_loaded;
       ++since_ckpt;
       build_->keys_done.fetch_add(1, std::memory_order_relaxed);
@@ -486,9 +436,7 @@ Status SfRun::LoadIndex(uint32_t idx, const std::string& loader_blob) {
   };
   BuildPipeline::MergeStats merge_stats;
   Status s = BuildPipeline::MergeToConsumer(
-      cursor->get(), BuildPipeline::kMergeBatchKeys,
-      BuildPipeline::kMergeQueueDepth, options_.build_threads > 1, consume,
-      &merge_stats);
+      cursor->get(), options_.build_threads > 1, consume, &merge_stats);
   if (!s.ok()) {
     if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
     // Rollback latches pages and takes txn-level mutexes; the loader's

@@ -210,7 +210,7 @@ Status PopulateHashFromTree(BTree* tree, HashIndex* hash) {
   hash->Clear();
   return tree->ScanAll(
       [hash](std::string_view key, const Rid& rid, uint8_t flags) {
-        hash->BulkAdd(key, rid, flags);
+        hash->OnLeafInsert(key, rid, flags);
       });
 }
 

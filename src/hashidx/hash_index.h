@@ -77,21 +77,14 @@ class HashIndex final : public IndexEntryObserver {
   HashProbe Probe(std::string_view key, Rid* rid) const;
 
   // --- mirror maintenance (IndexEntryObserver) -----------------------
-  // Called by the tree under the leaf X latch; per-entry ordering is
-  // inherited from the latch.
+  // Called by the tree and its bulk loader under the leaf X latch, so
+  // per-entry ordering is inherited from the latch, and by
+  // PopulateHashFromTree over a quiescent tree.
   void OnLeafInsert(std::string_view key, const Rid& rid,
                     uint8_t flags) override;
   void OnLeafRemove(std::string_view key, const Rid& rid) override;
   void OnLeafSetFlags(std::string_view key, const Rid& rid,
                       uint8_t flags) override;
-
-  // --- bulk population ----------------------------------------------
-  // Same semantics as OnLeafInsert; used by the build pipeline's consume
-  // stage (bulk loader writes bypass the tree's mutation choke points)
-  // and by the restart repopulation scan.
-  void BulkAdd(std::string_view key, const Rid& rid, uint8_t flags) {
-    OnLeafInsert(key, rid, flags);
-  }
 
   // Empties every shard (build rollback / re-population from scratch).
   void Clear();
@@ -150,7 +143,7 @@ class HashIndex final : public IndexEntryObserver {
 };
 
 // Rebuilds the mirror from a full tree scan: clears every shard, then
-// replays the tree's leaf entries (flags included) through BulkAdd.
+// replays the tree's leaf entries (flags included) through OnLeafInsert.
 // Used at restart (Catalog::Load, SfIndexBuilder::Resume after a loader
 // truncation) where the tree is quiescent.  Carries the `hash.populate`
 // failpoint.

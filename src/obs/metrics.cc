@@ -143,15 +143,6 @@ void MetricsRegistry::RegisterCounter(const std::string& name, Counter* c,
   entries_[name] = std::move(e);
 }
 
-void MetricsRegistry::RegisterGauge(const std::string& name, Gauge* g,
-                                    const void* owner) {
-  sync::MutexLock lk(&mu_);
-  Entry e;
-  e.gauge = g;
-  e.owner = owner;
-  entries_[name] = std::move(e);
-}
-
 void MetricsRegistry::RegisterHistogram(const std::string& name, Histogram* h,
                                         const void* owner) {
   sync::MutexLock g(&mu_);

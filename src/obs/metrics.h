@@ -146,7 +146,6 @@ class MetricsRegistry {
   // Re-registering a name replaces the previous entry (an engine restart
   // re-attaches the same metric names).
   void RegisterCounter(const std::string& name, Counter* c, const void* owner);
-  void RegisterGauge(const std::string& name, Gauge* g, const void* owner);
   void RegisterHistogram(const std::string& name, Histogram* h,
                          const void* owner);
   // Read-only value callback (for subsystems with pre-existing stats

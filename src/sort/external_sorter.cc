@@ -6,9 +6,9 @@
 
 namespace oib {
 
-// --------------------------- RunGenerator ---------------------------
+// ------------------------------ RunWriter ------------------------------
 
-RunGenerator::RunGenerator(RunStore* store, size_t workspace_keys)
+ExternalSorter::RunWriter::RunWriter(RunStore* store, size_t workspace_keys)
     : store_(store),
       k_(workspace_keys == 0 ? 1 : workspace_keys),
       items_(k_),
@@ -28,21 +28,16 @@ RunGenerator::RunGenerator(RunStore* store, size_t workspace_keys)
   for (size_t i = 0; i < k_; ++i) free_.push_back(k_ - 1 - i);
 }
 
-Status RunGenerator::EnsureRunOpen() {
-  if (current_run_ == 0) {
-    current_run_ = store_->CreateRun();
-    runs_.push_back(current_run_);
-  }
-  return Status::OK();
-}
-
-Status RunGenerator::Output(size_t slot) {
+Status ExternalSorter::RunWriter::Output(size_t slot) {
   if (tags_[slot] > current_tag_) {
     // Winner belongs to the next run: close the current one.
     current_tag_ = tags_[slot];
     current_run_ = 0;
   }
-  OIB_RETURN_IF_ERROR(EnsureRunOpen());
+  if (current_run_ == 0) {
+    current_run_ = store_->CreateRun();
+    runs_.push_back(current_run_);
+  }
   OIB_RETURN_IF_ERROR(
       store_->Append(current_run_, items_[slot].key, items_[slot].rid));
   // Copy (not steal) into last_output_: the slot keeps its buffer
@@ -53,7 +48,7 @@ Status RunGenerator::Output(size_t slot) {
   return Status::OK();
 }
 
-Status RunGenerator::Add(KeySlice key, const Rid& rid) {
+Status ExternalSorter::RunWriter::Add(KeySlice key, const Rid& rid) {
   uint64_t tag = current_tag_;
   if (has_last_output_ && CompareKeyRid(key, rid, last_output_) < 0) {
     tag = current_tag_ + 1;
@@ -84,7 +79,7 @@ Status RunGenerator::Add(KeySlice key, const Rid& rid) {
   return Status::OK();
 }
 
-Status RunGenerator::Drain() {
+Status ExternalSorter::RunWriter::Drain() {
   if (!tree_built_) {
     // Workspace never filled: sort what's there directly.
     std::vector<size_t> live;
@@ -112,25 +107,6 @@ Status RunGenerator::Drain() {
   }
   tree_built_ = false;
   return Status::OK();
-}
-
-Status RunGenerator::FinishInput() {
-  OIB_RETURN_IF_ERROR(Drain());
-  current_run_ = 0;  // close the run
-  return Status::OK();
-}
-
-void RunGenerator::Restore(std::vector<RunId> runs, RunId current_run,
-                           bool has_last_output, SortItem last_output) {
-  runs_ = std::move(runs);
-  current_run_ = current_run;
-  current_tag_ = 0;
-  has_last_output_ = has_last_output;
-  last_output_ = std::move(last_output);
-  std::fill(valid_.begin(), valid_.end(), false);
-  free_.clear();
-  for (size_t i = 0; i < k_; ++i) free_.push_back(k_ - 1 - i);
-  tree_built_ = false;
 }
 
 // ---------------------------- MergeCursor ----------------------------
@@ -189,94 +165,91 @@ StatusOr<bool> MergeCursor::Next(SortItem* item) {
 
 namespace {
 
-// §5.1 checkpoint of one generator's state: drain, force the runs, record
-// the run list + open run + highest output.  Shared by the sorter's
-// single-stream checkpoint and the per-partition RunWriter checkpoint.
-Status AppendGeneratorCheckpoint(RunStore* store, RunGenerator* gen,
-                                 std::string* blob) {
-  OIB_RETURN_IF_ERROR(gen->Drain());
-  for (RunId id : gen->runs()) {
+// The §5.1 sort-phase checkpoint, one encoding for a RunWriter and for the
+// sorter's adopted run list: every run forced and recorded with its size,
+// then the open run and the highest key output (a run list has neither).
+Status EncodeSortCheckpoint(RunStore* store, const std::vector<RunId>& runs,
+                            RunId open_run, const SortItem* last_output,
+                            std::string* blob) {
+  PutFixed32(blob, static_cast<uint32_t>(runs.size()));
+  for (RunId id : runs) {
     OIB_RETURN_IF_ERROR(store->Flush(id));
-  }
-  PutFixed32(blob, static_cast<uint32_t>(gen->runs().size()));
-  for (RunId id : gen->runs()) {
     auto size = store->Size(id);
     if (!size.ok()) return size.status();
     PutFixed64(blob, id);
     PutFixed64(blob, *size);
   }
-  PutFixed64(blob, gen->current_run());
-  blob->push_back(gen->has_last_output() ? 1 : 0);
-  if (gen->has_last_output()) {
-    PutLengthPrefixed(blob, gen->last_output().key.bytes());
-    PutFixed32(blob, gen->last_output().rid.page);
-    PutFixed16(blob, gen->last_output().rid.slot);
+  PutFixed64(blob, open_run);
+  blob->push_back(last_output != nullptr ? 1 : 0);
+  if (last_output != nullptr) {
+    PutLengthPrefixed(blob, last_output->key.bytes());
+    PutFixed32(blob, last_output->rid.page);
+    PutFixed16(blob, last_output->rid.slot);
   }
   return Status::OK();
 }
 
-Status RestoreGeneratorCheckpoint(RunStore* store, RunGenerator* gen,
-                                  BufferReader* r) {
+Status DecodeSortCheckpoint(RunStore* store, const std::string& blob,
+                            std::vector<RunId>* runs, RunId* open_run,
+                            bool* has_last_output, SortItem* last_output) {
+  BufferReader r(blob);
   uint32_t n;
-  if (!r->GetFixed32(&n)) return Status::Corruption("sort checkpoint blob");
-  std::vector<RunId> runs;
+  if (!r.GetFixed32(&n)) return Status::Corruption("sort checkpoint blob");
+  runs->clear();
   for (uint32_t i = 0; i < n; ++i) {
     uint64_t id, size;
-    if (!r->GetFixed64(&id) || !r->GetFixed64(&size)) {
+    if (!r.GetFixed64(&id) || !r.GetFixed64(&size)) {
       return Status::Corruption("sort checkpoint run entry");
     }
     // Reposition the stream to its checkpointed end-of-file (5.1).
     OIB_RETURN_IF_ERROR(store->Truncate(id, size));
-    runs.push_back(id);
+    runs->push_back(id);
   }
-  uint64_t current_run;
   uint8_t has_last;
-  if (!r->GetFixed64(&current_run) || !r->GetByte(&has_last)) {
+  if (!r.GetFixed64(open_run) || !r.GetByte(&has_last)) {
     return Status::Corruption("sort checkpoint tail");
   }
-  SortItem last;
-  if (has_last != 0) {
+  *has_last_output = has_last != 0;
+  if (*has_last_output) {
     uint16_t slot;
-    if (!r->GetLengthPrefixed(last.key.mutable_bytes()) ||
-        !r->GetFixed32(&last.rid.page) || !r->GetFixed16(&slot)) {
+    if (!r.GetLengthPrefixed(last_output->key.mutable_bytes()) ||
+        !r.GetFixed32(&last_output->rid.page) || !r.GetFixed16(&slot)) {
       return Status::Corruption("sort checkpoint last key");
     }
-    last.rid.slot = slot;
+    last_output->rid.slot = slot;
   }
-  gen->Restore(std::move(runs), current_run, has_last != 0, std::move(last));
   return Status::OK();
 }
 
 }  // namespace
 
-StatusOr<std::string> ExternalSorter::CheckpointSortPhase(
-    const std::string& caller_state) {
-  std::string blob;
-  PutLengthPrefixed(&blob, caller_state);
-  OIB_RETURN_IF_ERROR(AppendGeneratorCheckpoint(store_, &gen_, &blob));
-  return blob;
-}
-
-StatusOr<std::string> ExternalSorter::ResumeSortPhase(
-    const std::string& blob) {
-  BufferReader r(blob);
-  std::string caller_state;
-  if (!r.GetLengthPrefixed(&caller_state)) {
-    return Status::Corruption("sort checkpoint blob");
-  }
-  OIB_RETURN_IF_ERROR(RestoreGeneratorCheckpoint(store_, &gen_, &r));
-  return caller_state;
-}
-
 StatusOr<std::string> ExternalSorter::RunWriter::Checkpoint() {
+  OIB_RETURN_IF_ERROR(Drain());
   std::string blob;
-  OIB_RETURN_IF_ERROR(AppendGeneratorCheckpoint(store_, &gen_, &blob));
+  OIB_RETURN_IF_ERROR(EncodeSortCheckpoint(
+      store_, runs_, current_run_,
+      has_last_output_ ? &last_output_ : nullptr, &blob));
   return blob;
 }
 
 Status ExternalSorter::RunWriter::Resume(const std::string& blob) {
-  BufferReader r(blob);
-  return RestoreGeneratorCheckpoint(store_, &gen_, &r);
+  return DecodeSortCheckpoint(store_, blob, &runs_, &current_run_,
+                              &has_last_output_, &last_output_);
+}
+
+StatusOr<std::string> ExternalSorter::CheckpointSortPhase() {
+  std::string blob;
+  OIB_RETURN_IF_ERROR(
+      EncodeSortCheckpoint(store_, runs_, /*open_run=*/0, nullptr, &blob));
+  return blob;
+}
+
+Status ExternalSorter::ResumeSortPhase(const std::string& blob) {
+  RunId open_run;
+  bool has_last_output;
+  SortItem last_output;
+  return DecodeSortCheckpoint(store_, blob, &runs_, &open_run,
+                              &has_last_output, &last_output);
 }
 
 Status ExternalSorter::CreateWriters(size_t n) {
@@ -292,16 +265,12 @@ Status ExternalSorter::CreateWriters(size_t n) {
 }
 
 Status ExternalSorter::FinishWriters() {
-  std::vector<RunId> all;
+  runs_.clear();
   for (auto& w : writers_) {
-    OIB_RETURN_IF_ERROR(w->FinishInput());
-    all.insert(all.end(), w->runs().begin(), w->runs().end());
-    items_added_ += w->items_added();
+    OIB_RETURN_IF_ERROR(w->Drain());
+    runs_.insert(runs_.end(), w->runs().begin(), w->runs().end());
   }
   writers_.clear();
-  // Adopt every partition's runs; the merge/checkpoint machinery is
-  // oblivious to where a run came from.
-  gen_.Restore(std::move(all), 0, false, {});
   return Status::OK();
 }
 
@@ -311,9 +280,8 @@ Status ExternalSorter::PrepareMerge() {
   // pass); the final pass is the restartable one.
   size_t fanin = options_->sort_merge_fanin < 2 ? 2
                                                 : options_->sort_merge_fanin;
-  while (gen_.runs().size() > fanin) {
-    std::vector<RunId> batch(gen_.runs().begin(),
-                             gen_.runs().begin() + fanin);
+  while (runs_.size() > fanin) {
+    std::vector<RunId> batch(runs_.begin(), runs_.begin() + fanin);
     MergeCursor cursor;
     OIB_RETURN_IF_ERROR(cursor.Init(store_, batch, nullptr));
     RunId merged = store_->CreateRun();
@@ -325,13 +293,9 @@ Status ExternalSorter::PrepareMerge() {
       OIB_RETURN_IF_ERROR(store_->Append(merged, item.key, item.rid));
     }
     OIB_RETURN_IF_ERROR(store_->Flush(merged));
-    std::vector<RunId> remaining;
-    remaining.push_back(merged);
-    remaining.insert(remaining.end(), gen_.runs().begin() + fanin,
-                     gen_.runs().end());
     for (RunId id : batch) store_->Remove(id);
-    gen_.Restore(std::move(remaining), 0, gen_.has_last_output(),
-                 gen_.last_output());
+    runs_.erase(runs_.begin(), runs_.begin() + fanin);
+    runs_.insert(runs_.begin(), merged);
   }
   return Status::OK();
 }
@@ -339,7 +303,7 @@ Status ExternalSorter::PrepareMerge() {
 StatusOr<std::unique_ptr<MergeCursor>> ExternalSorter::OpenMerge(
     const std::vector<uint64_t>* counters) {
   auto cursor = std::make_unique<MergeCursor>();
-  OIB_RETURN_IF_ERROR(cursor->Init(store_, gen_.runs(), counters));
+  OIB_RETURN_IF_ERROR(cursor->Init(store_, runs_, counters));
   return cursor;
 }
 

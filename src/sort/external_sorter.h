@@ -1,14 +1,16 @@
 // ExternalSorter: replacement-selection run generation + N-way merge, both
 // restartable per the paper's section 5.
 //
-// Sort phase (5.1): keys stream in from the IB scan; a tournament tree
-// performs replacement selection, emitting sorted runs (~2x workspace per
-// run on random input).  A checkpoint waits for the tree to output all
+// Sort phase (5.1): keys stream in through RunWriters, one per scan
+// partition; each writer's tournament tree performs replacement selection
+// over its own workspace, emitting sorted runs (~2x workspace per run on
+// random input).  A writer checkpoint waits for the tree to output all
 // extracted keys (Drain), forces the runs, and records the run list, the
-// last (open) run, and the highest key output — plus the caller's scan
-// position, which travels in the same blob.  Resume discards unknown runs,
-// truncates known runs to their checkpointed sizes, and applies the
-// paper's append-or-new-stream rule for the first post-restart output.
+// last (open) run, and the highest key output.  Resume truncates known
+// runs to their checkpointed sizes and applies the paper's
+// append-or-new-stream rule for the first post-restart output.
+// FinishWriters closes every writer and adopts all runs; the sorter's own
+// checkpoint is that run list, in the same encoding with no open run.
 //
 // Merge phase (5.2): a loser tree merges the runs; each input stream is
 // permanently bound to one leaf, so a vector of per-stream output counters
@@ -29,50 +31,6 @@
 #include "sort/tournament_tree.h"
 
 namespace oib {
-
-// Replacement selection over a fixed workspace.
-class RunGenerator {
- public:
-  RunGenerator(RunStore* store, size_t workspace_keys);
-
-  // Copies the key into a workspace slot, reusing the slot's buffer
-  // capacity — steady state adds are allocation-free.
-  Status Add(KeySlice key, const Rid& rid);
-  // Outputs every buffered key (checkpoint prerequisite: "we wait for the
-  // tournament tree to output all the keys that have so far been
-  // extracted").  The current run stays open.
-  Status Drain();
-  // Drain + close the current run.
-  Status FinishInput();
-
-  const std::vector<RunId>& runs() const { return runs_; }
-  RunId current_run() const { return current_run_; }
-  bool has_last_output() const { return has_last_output_; }
-  const SortItem& last_output() const { return last_output_; }
-
-  // Restart: adopt the checkpointed run list / open run / highest key.
-  void Restore(std::vector<RunId> runs, RunId current_run,
-               bool has_last_output, SortItem last_output);
-
- private:
-  Status Output(size_t slot);
-  Status EnsureRunOpen();
-
-  RunStore* store_;
-  size_t k_;
-  std::vector<SortItem> items_;
-  std::vector<uint64_t> tags_;
-  std::vector<bool> valid_;
-  std::vector<size_t> free_;
-  LoserTree tree_;
-  bool tree_built_ = false;
-
-  std::vector<RunId> runs_;
-  RunId current_run_ = 0;  // 0 = none open
-  uint64_t current_tag_ = 0;
-  SortItem last_output_;
-  bool has_last_output_ = false;
-};
 
 class MergeCursor {
  public:
@@ -102,79 +60,75 @@ class MergeCursor {
 
 class ExternalSorter {
  public:
-  ExternalSorter(RunStore* store, const Options* options)
-      : store_(store), options_(options),
-        gen_(store, options->sort_workspace_keys) {}
-
-  Status Add(KeySlice key, const Rid& rid) {
-    ++items_added_;
-    return gen_.Add(key, rid);
-  }
-
-  // Section 5.1 checkpoint: drain + force runs + serialize state.  The
-  // caller embeds its scan position via `caller_state` (opaque here).
-  StatusOr<std::string> CheckpointSortPhase(const std::string& caller_state);
-  // Returns the embedded caller state.
-  StatusOr<std::string> ResumeSortPhase(const std::string& blob);
-
-  Status FinishInput() { return gen_.FinishInput(); }
-
-  // --- partitioned input (BuildPipeline) ---
-  //
-  // One RunWriter per scan partition: each owns a private replacement-
-  // selection generator, so workers feed the sorter concurrently without
-  // sharing any mutable state (RunStore itself is thread-safe).  A writer
-  // checkpoints/resumes its own run list with the same §5.1 rule the
-  // single-threaded sorter uses; FinishWriters() closes every writer and
-  // adopts all runs — in partition order, so run naming is deterministic
-  // for Resume — after which PrepareMerge/OpenMerge/CheckpointSortPhase
-  // behave exactly as in the single-stream case.
+  // Replacement selection over a fixed workspace, feeding one scan
+  // partition's runs.  Writers share no mutable state (RunStore itself is
+  // thread-safe), so partitions feed the sorter concurrently.
   class RunWriter {
    public:
-    RunWriter(RunStore* store, size_t workspace_keys)
-        : store_(store), gen_(store, workspace_keys) {}
+    RunWriter(RunStore* store, size_t workspace_keys);
 
-    Status Add(KeySlice key, const Rid& rid) {
-      ++items_added_;
-      return gen_.Add(key, rid);
-    }
-    Status FinishInput() { return gen_.FinishInput(); }
+    // Copies the key into a workspace slot, reusing the slot's buffer
+    // capacity — steady state adds are allocation-free.
+    Status Add(KeySlice key, const Rid& rid);
+    // Section 5.1 checkpoint: drain + force runs + serialize state.
     StatusOr<std::string> Checkpoint();
+    // Adopts a checkpoint's run list, open run and highest key; call
+    // before the first Add.
     Status Resume(const std::string& blob);
 
-    const std::vector<RunId>& runs() const { return gen_.runs(); }
-    uint64_t items_added() const { return items_added_; }
+    const std::vector<RunId>& runs() const { return runs_; }
 
    private:
     friend class ExternalSorter;
+    // Outputs every buffered key ("we wait for the tournament tree to
+    // output all the keys that have so far been extracted").  The current
+    // run stays open.
+    Status Drain();
+    Status Output(size_t slot);
+
     RunStore* store_;
-    RunGenerator gen_;
-    uint64_t items_added_ = 0;
+    size_t k_;
+    std::vector<SortItem> items_;
+    std::vector<uint64_t> tags_;
+    std::vector<bool> valid_;
+    std::vector<size_t> free_;
+    LoserTree tree_;
+    bool tree_built_ = false;
+
+    std::vector<RunId> runs_;
+    RunId current_run_ = 0;  // 0 = none open
+    uint64_t current_tag_ = 0;
+    SortItem last_output_;
+    bool has_last_output_ = false;
   };
+
+  ExternalSorter(RunStore* store, const Options* options)
+      : store_(store), options_(options) {}
 
   Status CreateWriters(size_t n);
   RunWriter* writer(size_t i) { return writers_[i].get(); }
-  size_t writer_count() const { return writers_.size(); }
-  // FinishInput on every writer, then adopt all their runs (partition
-  // order) into the main generator so the merge path sees one run list.
+  // Drains every writer, then adopts all their runs in partition order —
+  // so run naming is deterministic for Resume — and drops the writers.
   Status FinishWriters();
 
   // Reduces the run count to the merge fan-in with extra (non-checkpointed)
   // merge passes.
   Status PrepareMerge();
 
+  // Section 5.1 checkpoint of the adopted run list; ResumeSortPhase
+  // adopts it again, each run truncated to its checkpointed size.
+  StatusOr<std::string> CheckpointSortPhase();
+  Status ResumeSortPhase(const std::string& blob);
+
   StatusOr<std::unique_ptr<MergeCursor>> OpenMerge(
       const std::vector<uint64_t>* counters = nullptr);
 
-  const std::vector<RunId>& runs() const { return gen_.runs(); }
-  uint64_t items_added() const { return items_added_; }
-  RunStore* store() { return store_; }
+  const std::vector<RunId>& runs() const { return runs_; }
 
  private:
   RunStore* store_;
   const Options* options_;
-  RunGenerator gen_;
-  uint64_t items_added_ = 0;
+  std::vector<RunId> runs_;
   std::vector<std::unique_ptr<RunWriter>> writers_;
 };
 

@@ -326,7 +326,6 @@ void RunStore::AttachMetrics(obs::MetricsRegistry* registry) {
 
 Status RunReader::SeekToItem(uint64_t index) {
   offset_ = 0;
-  items_read_ = 0;
   key_.clear();
   sync::MutexLock g(&store_->mu_);
   auto it = store_->runs_.find(id_);
@@ -345,7 +344,6 @@ Status RunReader::SeekToItem(uint64_t index) {
     key_.resize(shared);
     key_.append(d.data() + offset_ + 4, slen);
     offset_ += 4 + slen + 6;
-    ++items_read_;
   }
   return Status::OK();
 }
@@ -369,7 +367,6 @@ StatusOr<bool> RunReader::Read(SortItem* item) {
   item->rid.page = DecodeFixed32(d.data() + offset_ + 4 + slen);
   item->rid.slot = DecodeFixed16(d.data() + offset_ + 4 + slen + 4);
   offset_ += 4 + slen + 6;
-  ++items_read_;
   return true;
 }
 

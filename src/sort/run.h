@@ -147,13 +147,10 @@ class RunReader {
   // False at end of run.
   StatusOr<bool> Read(SortItem* item);
 
-  uint64_t items_read() const { return items_read_; }
-
  private:
   RunStore* store_;
   RunId id_;
   uint64_t offset_ = 0;
-  uint64_t items_read_ = 0;
   std::string key_;  // running key (previous item's full key)
 };
 

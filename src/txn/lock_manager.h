@@ -76,11 +76,7 @@ class LockManager {
 
   size_t held_count(TxnId txn) const;
 
-  uint64_t wait_count() const { return waits_.value(); }
   uint64_t timeout_count() const { return timeouts_.value(); }
-  // Time blocked waiting for locks, in nanoseconds (both granted-after-wait
-  // and timed-out requests record here).
-  const obs::Histogram& wait_hist() const { return wait_ns_; }
 
   // Registers lock.{waits,timeouts,wait_ns} with `registry` (owner = this;
   // the destructor detaches them).

@@ -39,8 +39,6 @@ class Transaction {
     last_lsn_.store(lsn, std::memory_order_relaxed);
   }
 
-  bool in_rollback() const { return state_ == TxnState::kRollingBack; }
-
  private:
   TxnId id_;
   TxnState state_ = TxnState::kActive;

@@ -499,14 +499,4 @@ LogStats LogManager::stats() const {
   return s;
 }
 
-void LogManager::ResetStats() {
-  records_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < records_by_rm_.size(); ++i) {
-    records_by_rm_[i].store(0, std::memory_order_relaxed);
-    bytes_by_rm_[i].store(0, std::memory_order_relaxed);
-  }
-  flushes_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace oib

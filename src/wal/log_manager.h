@@ -134,10 +134,6 @@ class LogManager {
   void DropUnflushed();
 
   LogStats stats() const;
-  void ResetStats();
-
-  const obs::Histogram& append_hist() const { return append_ns_; }
-  const obs::Histogram& flush_hist() const { return flush_ns_; }
 
   // Registers wal.{records,bytes,flushes,append_ns,flush_ns} with
   // `registry` (owner = this; the destructor detaches them).  The Env's

@@ -117,7 +117,9 @@ TEST(KeyCodecPropertyTest, CommonPrefixLenIsExact) {
     size_t n = CommonPrefixLen(KeySlice(a), KeySlice(b));
     ASSERT_LE(n, std::min(a.size(), b.size()));
     EXPECT_EQ(a.compare(0, n, b, 0, n), 0);
-    if (n < a.size() && n < b.size()) EXPECT_NE(a[n], b[n]);
+    if (n < a.size() && n < b.size()) {
+      EXPECT_NE(a[n], b[n]);
+    }
   }
 }
 

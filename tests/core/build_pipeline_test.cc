@@ -122,34 +122,42 @@ TEST_F(BuildPipelineTest, PlanPartitioningIsDeterministicAndCovers) {
 }
 
 TEST_F(BuildPipelineTest, MergeToConsumerOverlappedDeliversAllInOrder) {
-  // Feed an ExternalSorter and drain it through the overlapped queue;
-  // every item must arrive exactly once, in sorted order, with monotone
-  // counters snapshots.
+  // Feed an ExternalSorter through one run writer and drain it through
+  // the overlapped queue; every item must arrive exactly once, in sorted
+  // order, with monotone counters snapshots.
   ExternalSorter sorter(engine_->runs(), &engine_->options());
+  ASSERT_OK(sorter.CreateWriters(1));
   const int kItems = 10000;
   for (int i = 0; i < kItems; ++i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "k%08d", (i * 7919) % kItems);
-    ASSERT_OK(sorter.Add(std::string_view(buf), Rid(1 + i / 100, i % 100)));
+    ASSERT_OK(sorter.writer(0)->Add(std::string_view(buf),
+                                    Rid(1 + i / 100, i % 100)));
   }
-  ASSERT_OK(sorter.FinishInput());
+  ASSERT_OK(sorter.FinishWriters());
   ASSERT_OK(sorter.PrepareMerge());
   ASSERT_OK_AND_ASSIGN(auto cursor, sorter.OpenMerge());
 
   std::vector<std::string> seen;
   size_t batches = 0;
+  std::vector<uint64_t> last_counters;
   auto consume = [&](const BuildPipeline::Batch& b) -> Status {
     ++batches;
+    EXPECT_LE(b.items.size(), BuildPipeline::kMergeBatchKeys);
+    uint64_t before = 0, after = 0;
+    for (uint64_t c : last_counters) before += c;
+    for (uint64_t c : b.counters) after += c;
+    EXPECT_EQ(after, before + b.items.size());
+    last_counters = b.counters;
     for (const SortItem& item : b.items) seen.push_back(item.key.bytes());
     return Status::OK();
   };
   BuildPipeline::MergeStats stats;
-  ASSERT_OK(BuildPipeline::MergeToConsumer(cursor.get(), /*batch_keys=*/256,
-                                           /*queue_depth=*/2,
-                                           /*overlapped=*/true, consume,
-                                           &stats));
+  ASSERT_OK(BuildPipeline::MergeToConsumer(cursor.get(), /*overlapped=*/true,
+                                           consume, &stats));
   ASSERT_EQ(seen.size(), static_cast<size_t>(kItems));
-  EXPECT_GE(batches, static_cast<size_t>(kItems) / 256);
+  EXPECT_GE(batches, static_cast<size_t>(kItems) /
+                         BuildPipeline::kMergeBatchKeys);
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   EXPECT_GT(stats.merge_busy_ms, 0.0);
   EXPECT_GT(stats.consume_busy_ms, 0.0);
@@ -157,25 +165,26 @@ TEST_F(BuildPipelineTest, MergeToConsumerOverlappedDeliversAllInOrder) {
 
 TEST_F(BuildPipelineTest, MergeToConsumerPropagatesConsumerError) {
   ExternalSorter sorter(engine_->runs(), &engine_->options());
-  for (int i = 0; i < 2000; ++i) {
+  ASSERT_OK(sorter.CreateWriters(1));
+  for (int i = 0; i < 5000; ++i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "k%08d", i);
-    ASSERT_OK(sorter.Add(std::string_view(buf), Rid(1, i % 100)));
+    ASSERT_OK(sorter.writer(0)->Add(std::string_view(buf), Rid(1, i % 100)));
   }
-  ASSERT_OK(sorter.FinishInput());
+  ASSERT_OK(sorter.FinishWriters());
   ASSERT_OK(sorter.PrepareMerge());
   ASSERT_OK_AND_ASSIGN(auto cursor, sorter.OpenMerge());
   size_t consumed = 0;
   auto consume = [&](const BuildPipeline::Batch& b) -> Status {
     consumed += b.items.size();
-    if (consumed >= 500) return Status::IoError("consumer boom");
+    if (consumed >= 2000) return Status::IoError("consumer boom");
     return Status::OK();
   };
-  Status s = BuildPipeline::MergeToConsumer(cursor.get(), 128, 2,
-                                            /*overlapped=*/true, consume,
-                                            nullptr);
+  Status s = BuildPipeline::MergeToConsumer(cursor.get(), /*overlapped=*/true,
+                                            consume, nullptr);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("consumer boom"), std::string::npos);
+  EXPECT_LT(consumed, 5000u);
 }
 
 // ---- parallel == sequential, quiet table ----
@@ -239,6 +248,78 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(BuildAlgo::kOffline, BuildAlgo::kNsf,
                                          BuildAlgo::kSf),
                        ::testing::Values(2u, 8u)),
+    [](const auto& info) {
+      BuildAlgo algo = std::get<0>(info.param);
+      std::string name = algo == BuildAlgo::kOffline ? "offline"
+                         : algo == BuildAlgo::kNsf   ? "nsf"
+                                                     : "sf";
+      return name + "_t" + std::to_string(std::get<1>(info.param));
+    });
+
+// ---- the sorted stream's unique check ----
+
+// One duplicate pair whose two keys straddle the first merge-batch
+// boundary (sorted positions kMergeBatchKeys - 1 and kMergeBatchKeys),
+// with one record on the first heap page and one on the last, so a
+// two-way scan also puts them in different partitions.  Every builder
+// must find the pair, return UniqueViolation and leave nothing behind.
+class StreamUniqueSweepTest
+    : public BuildPipelineTest,
+      public ::testing::WithParamInterface<std::tuple<BuildAlgo, size_t>> {};
+
+TEST_P(StreamUniqueSweepTest, DuplicateAcrossBatchAndPartitionAborts) {
+  auto [algo, threads] = GetParam();
+  TableId table = MakeTable();
+  const uint64_t dup = BuildPipeline::kMergeBatchKeys - 1;
+  auto key = [](uint64_t i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%06llu",
+                  static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  Transaction* txn = engine_->Begin();
+  auto insert = [&](uint64_t i, const std::string& payload) {
+    auto rid = engine_->records()->InsertRecord(
+        txn, table, Schema::EncodeRecord({key(i), payload}));
+    EXPECT_TRUE(rid.ok()) << rid.status().ToString();
+    return rid.ok() ? *rid : Rid();
+  };
+  Rid first = insert(dup, "first");
+  for (uint64_t i = 0; i < 2 * BuildPipeline::kMergeBatchKeys; ++i) {
+    if (i != dup) insert(i, "row");
+  }
+  Rid last = insert(dup, "last");
+  ASSERT_OK(engine_->Commit(txn));
+
+  options_.build_threads = threads;
+  ReopenWithOptions();
+  ASSERT_OK_AND_ASSIGN(
+      ScanPlan halves,
+      PlanPartitionedScan(engine_->catalog()->table(table), kInvalidPageId, 2));
+  ASSERT_EQ(halves.parts.size(), 2u);
+  ASSERT_LT(first.page, halves.parts[1].next);
+  ASSERT_GE(last.page, halves.parts[1].next);
+
+  BuildParams p = Params(table, /*unique=*/true);
+  IndexId index = kInvalidIndexId;
+  Status s;
+  if (algo == BuildAlgo::kOffline) {
+    s = OfflineIndexBuilder(engine_.get()).Build(p, &index);
+  } else if (algo == BuildAlgo::kNsf) {
+    s = NsfIndexBuilder(engine_.get()).Build(p, &index);
+  } else {
+    s = SfIndexBuilder(engine_.get()).Build(p, &index);
+  }
+  EXPECT_TRUE(s.IsUniqueViolation()) << s.ToString();
+  EXPECT_TRUE(engine_->catalog()->IndexesOf(table).empty());
+  EXPECT_TRUE(LoadBuildMeta(engine_.get(), table).status().IsNotFound());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algos, StreamUniqueSweepTest,
+    ::testing::Combine(::testing::Values(BuildAlgo::kOffline, BuildAlgo::kNsf,
+                                         BuildAlgo::kSf),
+                       ::testing::Values(1u, 2u)),
     [](const auto& info) {
       BuildAlgo algo = std::get<0>(info.param);
       std::string name = algo == BuildAlgo::kOffline ? "offline"

@@ -176,6 +176,33 @@ TEST_F(HashEngineTest, SfBuildMaintainsMirrorOnline) {
   ExpectHashMatchesTree(index);
 }
 
+TEST_F(HashEngineTest, SfResumeAfterLoadCheckpointRebuildsMirror) {
+  TableId table = MakeTable();
+  Populate(table, 3000);
+  options_.ib_checkpoint_every_keys = 500;
+  ReopenWithOptions();
+  // The load checkpoints after its first merge batch, then stops: the
+  // mirror heard of the loaded keys only from the pre-crash loader, and
+  // the resumed loader tells it of the rest.
+  FailPointRegistry::Instance().Arm("sf.load", 1200);
+  SfIndexBuilder builder(engine_.get());
+  Status s = builder.Build(Params(table), nullptr);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+
+  CrashAndRestart();
+  SfIndexBuilder resumed(engine_.get());
+  BuildStats stats;
+  ASSERT_OK(resumed.Resume(table, &stats));
+  EXPECT_GT(stats.keys_loaded, 0u);
+  EXPECT_LT(stats.keys_loaded, 3000u);  // resumed from the checkpoint
+  auto descs = engine_->catalog()->IndexesOf(table);
+  ASSERT_EQ(descs.size(), 1u);
+  ExpectIndexConsistent(table, descs[0].id);
+  ExpectHashMatchesTree(descs[0].id);
+  EXPECT_EQ(engine_->catalog()->hash_index(descs[0].id)->entry_count(),
+            3000u);
+}
+
 TEST_F(HashEngineTest, ReadsDuringSfBuildFallBackThenHit) {
   TableId table = MakeTable();
   auto rids = Populate(table, 4000);
@@ -334,7 +361,9 @@ TEST_F(HashEngineTest, HashCommitFailpointLeavesBuildResumable) {
   // failed publish never exposes the hash.
   for (const IndexDescriptor& d : engine_->catalog()->IndexesOf(table)) {
     HashIndex* hash = engine_->catalog()->hash_index(d.id);
-    if (hash != nullptr) EXPECT_FALSE(hash->readable());
+    if (hash != nullptr) {
+      EXPECT_FALSE(hash->readable());
+    }
   }
 }
 

@@ -22,6 +22,12 @@ Options SmallOptions() {
   return o;
 }
 
+// A sorter fed through one RunWriter, as a one-partition scan feeds it.
+ExternalSorter::RunWriter* OneWriter(ExternalSorter* sorter) {
+  EXPECT_TRUE(sorter->CreateWriters(1).ok());
+  return sorter->writer(0);
+}
+
 std::vector<SortItem> DrainMerge(ExternalSorter* sorter) {
   auto cursor = sorter->OpenMerge();
   EXPECT_TRUE(cursor.ok());
@@ -72,6 +78,7 @@ TEST_P(SorterTest, SortsAgainstOracle) {
   Options options = SmallOptions();
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   Random rng(n + 1);
 
   std::vector<SortItem> expected;
@@ -81,9 +88,9 @@ TEST_P(SorterTest, SortsAgainstOracle) {
     item.rid = Rid(static_cast<PageId>(rng.Uniform(1000)),
                    static_cast<SlotId>(rng.Uniform(100)));
     expected.push_back(item);
-    ASSERT_TRUE(sorter.Add(item.key, item.rid).ok());
+    ASSERT_TRUE(writer->Add(item.key, item.rid).ok());
   }
-  ASSERT_TRUE(sorter.FinishInput().ok());
+  ASSERT_TRUE(sorter.FinishWriters().ok());
   ASSERT_TRUE(sorter.PrepareMerge().ok());
   std::stable_sort(expected.begin(), expected.end(),
                    [](const SortItem& a, const SortItem& b) {
@@ -105,12 +112,13 @@ TEST(SorterTest, ReplacementSelectionMakesLongRuns) {
   Options options = SmallOptions();
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   Random rng(3);
   const size_t n = 2000;
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(sorter.Add(rng.NextString(8), Rid(1, 0)).ok());
+    ASSERT_TRUE(writer->Add(rng.NextString(8), Rid(1, 0)).ok());
   }
-  ASSERT_TRUE(sorter.FinishInput().ok());
+  ASSERT_TRUE(sorter.FinishWriters().ok());
   size_t runs = sorter.runs().size();
   // Naive quicksort-runs would need n / 64 ~= 31 runs; replacement
   // selection should roughly halve that.
@@ -122,12 +130,13 @@ TEST(SorterTest, SortedInputYieldsSingleRun) {
   Options options = SmallOptions();
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   for (int i = 0; i < 1000; ++i) {
     char buf[16];
     snprintf(buf, sizeof(buf), "%08d", i);
-    ASSERT_TRUE(sorter.Add(std::string_view(buf), Rid(1, 0)).ok());
+    ASSERT_TRUE(writer->Add(std::string_view(buf), Rid(1, 0)).ok());
   }
-  ASSERT_TRUE(sorter.FinishInput().ok());
+  ASSERT_TRUE(sorter.FinishWriters().ok());
   EXPECT_EQ(sorter.runs().size(), 1u);
 }
 
@@ -136,14 +145,15 @@ TEST(SorterTest, PreMergeReducesRunCountUnderFanin) {
   options.sort_workspace_keys = 8;
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   Random rng(17);
   std::vector<std::string> keys;
   for (int i = 0; i < 2000; ++i) {
     std::string k = rng.NextString(8);
     keys.push_back(k);
-    ASSERT_TRUE(sorter.Add(k, Rid(1, 0)).ok());
+    ASSERT_TRUE(writer->Add(k, Rid(1, 0)).ok());
   }
-  ASSERT_TRUE(sorter.FinishInput().ok());
+  ASSERT_TRUE(sorter.FinishWriters().ok());
   ASSERT_GT(sorter.runs().size(), 4u);
   ASSERT_TRUE(sorter.PrepareMerge().ok());
   EXPECT_LE(sorter.runs().size(), 4u);
@@ -171,30 +181,36 @@ TEST(RestartableSortTest, SortPhaseCheckpointAndResume) {
   }
 
   ExternalSorter sorter(&store, &options);
-  // Feed half, checkpoint (with a caller scan position), feed a bit more
-  // (lost in the crash), crash, resume, re-feed from the checkpoint.
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
+  // Feed half, checkpoint, feed a bit more (lost in the crash), crash,
+  // resume, re-feed from the checkpoint.
   size_t half = n / 2;
   for (size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(sorter.Add(all[i].key, all[i].rid).ok());
+    ASSERT_TRUE(writer->Add(all[i].key, all[i].rid).ok());
   }
-  auto blob = sorter.CheckpointSortPhase("scan@500");
+  auto blob = writer->Checkpoint();
   ASSERT_TRUE(blob.ok());
   for (size_t i = half; i < half + 200; ++i) {
-    ASSERT_TRUE(sorter.Add(all[i].key, all[i].rid).ok());
+    ASSERT_TRUE(writer->Add(all[i].key, all[i].rid).ok());
   }
   // Crash: unflushed run tails vanish.
   store.DropUnflushed();
 
   ExternalSorter resumed(&store, &options);
-  auto caller = resumed.ResumeSortPhase(*blob);
-  ASSERT_TRUE(caller.ok());
-  EXPECT_EQ(*caller, "scan@500");
+  ExternalSorter::RunWriter* resumed_writer = OneWriter(&resumed);
+  ASSERT_TRUE(resumed_writer->Resume(*blob).ok());
   for (size_t i = half; i < n; ++i) {
-    ASSERT_TRUE(resumed.Add(all[i].key, all[i].rid).ok());
+    ASSERT_TRUE(resumed_writer->Add(all[i].key, all[i].rid).ok());
   }
-  ASSERT_TRUE(resumed.FinishInput().ok());
+  ASSERT_TRUE(resumed.FinishWriters().ok());
   ASSERT_TRUE(resumed.PrepareMerge().ok());
-  std::vector<SortItem> got = DrainMerge(&resumed);
+  // The adopted run list checkpoints and resumes as one unit too.
+  auto list_blob = resumed.CheckpointSortPhase();
+  ASSERT_TRUE(list_blob.ok());
+  ExternalSorter merged(&store, &options);
+  ASSERT_TRUE(merged.ResumeSortPhase(*list_blob).ok());
+  EXPECT_EQ(merged.runs(), resumed.runs());
+  std::vector<SortItem> got = DrainMerge(&merged);
 
   std::stable_sort(all.begin(), all.end(),
                    [](const SortItem& a, const SortItem& b) {
@@ -213,24 +229,26 @@ TEST(RestartableSortTest, ResumeAppendsToSameStreamWhenOrdered) {
   Options options = SmallOptions();
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   for (int i = 0; i < 200; ++i) {
     char buf[16];
     snprintf(buf, sizeof(buf), "%08d", i);
-    ASSERT_TRUE(sorter.Add(std::string_view(buf), Rid(1, 0)).ok());
+    ASSERT_TRUE(writer->Add(std::string_view(buf), Rid(1, 0)).ok());
   }
-  auto blob = sorter.CheckpointSortPhase("");
+  auto blob = writer->Checkpoint();
   ASSERT_TRUE(blob.ok());
-  size_t runs_at_ckpt = sorter.runs().size();
+  size_t runs_at_ckpt = writer->runs().size();
   store.DropUnflushed();
 
   ExternalSorter resumed(&store, &options);
-  ASSERT_TRUE(resumed.ResumeSortPhase(*blob).ok());
+  ExternalSorter::RunWriter* resumed_writer = OneWriter(&resumed);
+  ASSERT_TRUE(resumed_writer->Resume(*blob).ok());
   for (int i = 200; i < 400; ++i) {
     char buf[16];
     snprintf(buf, sizeof(buf), "%08d", i);
-    ASSERT_TRUE(resumed.Add(std::string_view(buf), Rid(1, 0)).ok());
+    ASSERT_TRUE(resumed_writer->Add(std::string_view(buf), Rid(1, 0)).ok());
   }
-  ASSERT_TRUE(resumed.FinishInput().ok());
+  ASSERT_TRUE(resumed.FinishWriters().ok());
   EXPECT_EQ(resumed.runs().size(), runs_at_ckpt);  // same stream continued
 }
 
@@ -240,13 +258,14 @@ TEST(RestartableMergeTest, CountersResumeExactly) {
   Options options = SmallOptions();
   RunStore store;
   ExternalSorter sorter(&store, &options);
+  ExternalSorter::RunWriter* writer = OneWriter(&sorter);
   Random rng(23);
   const size_t n = 800;
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(
-        sorter.Add(rng.NextString(8), Rid(static_cast<PageId>(i), 0)).ok());
+        writer->Add(rng.NextString(8), Rid(static_cast<PageId>(i), 0)).ok());
   }
-  ASSERT_TRUE(sorter.FinishInput().ok());
+  ASSERT_TRUE(sorter.FinishWriters().ok());
   ASSERT_TRUE(sorter.PrepareMerge().ok());
 
   // Reference output.

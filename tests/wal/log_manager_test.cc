@@ -379,7 +379,9 @@ TEST(LogManagerStressTest, ProgressReadsNeverGoBackwards) {
       for (int i = 0; i < 2000; ++i) {
         LogRecord rec = MakeRec(t + 1, LogRecordType::kUpdate, "body");
         ASSERT_TRUE(log.Append(&rec).ok());
-        if (i % 64 == 0) ASSERT_TRUE(log.Flush(rec.lsn).ok());
+        if (i % 64 == 0) {
+          ASSERT_TRUE(log.Flush(rec.lsn).ok());
+        }
       }
     });
   }
