@@ -717,13 +717,14 @@ StatusOr<BTree::DeleteResult> BTree::PseudoDelete(Transaction* txn,
       }
       OIB_RETURN_IF_ERROR(LoggedSetFlags(txn, &leaf, pos, key, rid,
                                          BtreeOp::kPseudoDelete,
-                                         LogRecordType::kUpdate));
+                                         LogRecordType::kRedoOnly));
       return DeleteResult::kPseudoDeleted;
     }
     // Key absent: leave a tombstone so a later IB insert is rejected
     // (section 2.2.3, "IB and Delete Operations").
     leaf.Release();
-    auto r = Insert(txn, key, rid, kEntryPseudoDeleted);
+    auto r = Insert(txn, key, rid, kEntryPseudoDeleted,
+                    LogRecordType::kRedoOnly);
     if (!r.ok()) return r.status();
     if (*r == InsertResult::kAlreadyPresent) {
       // The section 1.2 race, live: between our lookup and the tombstone
@@ -743,22 +744,6 @@ Status BTree::PhysicalDelete(Transaction* txn, std::string_view key,
   int pos = page.FindExact(key, rid);
   if (pos < 0) return Status::NotFound("key not in index");
   return LoggedLeafRemove(txn, &leaf, pos, key, rid, log_type);
-}
-
-Status BTree::LogUndoOnlyInsert(Transaction* txn, std::string_view key,
-                                const Rid& rid) {
-  // NSF section 2.1.1: record that this transaction logically owns the
-  // key IB physically inserted, so rollback deletes it.  No page change
-  // now, hence no page id and no redo semantics (kUndoOnly records are
-  // never redone; the payload travels in `redo` by RM convention).
-  LogRecord rec;
-  rec.type = LogRecordType::kUndoOnly;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kInsertKey);
-  rec.page_id = kInvalidPageId;
-  rec.aux_id = index_id_;
-  EncodeKeyPayload(&rec.redo, 0, key, rid);
-  return txns_->AppendLog(txn, &rec);
 }
 
 Status BTree::GcRemove(std::string_view key, const Rid& rid) {
@@ -1173,21 +1158,6 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
     clr.undo_next_lsn = undo_next;
     switch (fwd) {
       case BtreeOp::kInsertKey: {
-        if ((kp.flags & kEntryPseudoDeleted) != 0) {
-          // Undo of a deleter's tombstone insert: put the key in the
-          // *inserted* state (section 2.1.2), do not remove it.
-          if (pos < 0) {
-            // Batch re-undo after a crash may find it gone; tolerate.
-            return Status::NotFound("tombstone vanished");
-          }
-          clr.opcode = static_cast<uint8_t>(BtreeOp::kReactivate);
-          EncodeKeyPayload(&clr.redo, 0, kp.key, kp.rid);
-          OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-          page.SetFlagsAt(pos, 0);
-          leaf.set_page_lsn(clr.lsn);
-          NotifySetFlags(kp.key, kp.rid, 0);
-          return Status::OK();
-        }
         if (pos < 0) return Status::NotFound("key vanished");
         if (from_ib_batch &&
             (page.FlagsAt(pos) & kEntryPseudoDeleted) != 0) {
@@ -1197,38 +1167,12 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
           // record is gone).  A loser deleter's own undo reactivates it.
           return Status::OK();
         }
-        if (ib_active_.load() && !from_ib_batch) {
-          // Deleter discipline during an NSF build: leave a pseudo-deleted
-          // trail so a late IB insert of this key is rejected (the paper's
-          // section 2.2.3 example, steps 5-6).  This applies to *updater*
-          // inserts only — undoing IB's own batch must remove physically,
-          // because its keys name committed records the resumed build
-          // re-inserts; a tombstone here would be rejected by that
-          // re-insert and the key would stay dead in a ready index.
-          clr.opcode = static_cast<uint8_t>(BtreeOp::kPseudoDelete);
-          EncodeKeyPayload(&clr.redo, 0, kp.key, kp.rid);
-          OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-          page.SetFlagsAt(pos, kEntryPseudoDeleted);
-          leaf.set_page_lsn(clr.lsn);
-          NotifySetFlags(kp.key, kp.rid, kEntryPseudoDeleted);
-          return Status::OK();
-        }
         clr.opcode = static_cast<uint8_t>(BtreeOp::kPhysicalDelete);
         EncodeKeyPayload(&clr.redo, page.FlagsAt(pos), kp.key, kp.rid);
         OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
         page.RemoveAt(pos);
         leaf.set_page_lsn(clr.lsn);
         NotifyRemove(kp.key, kp.rid);
-        return Status::OK();
-      }
-      case BtreeOp::kPseudoDelete: {
-        if (pos < 0) return Status::NotFound("key vanished");
-        clr.opcode = static_cast<uint8_t>(BtreeOp::kReactivate);
-        EncodeKeyPayload(&clr.redo, 0, kp.key, kp.rid);
-        OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-        page.SetFlagsAt(pos, 0);
-        leaf.set_page_lsn(clr.lsn);
-        NotifySetFlags(kp.key, kp.rid, 0);
         return Status::OK();
       }
       case BtreeOp::kReactivate: {
@@ -1270,19 +1214,11 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
 
   switch (op) {
     case BtreeOp::kInsertKey:
-    case BtreeOp::kPseudoDelete:
     case BtreeOp::kReactivate: {
       KeyPayload kp;
       OIB_RETURN_IF_ERROR(DecodeKeyPayload(rec.redo, &kp));
       Status s = undo_one(kp, op, rec.prev_lsn);
-      if (s.IsNotFound()) {
-        // kUndoOnly insert (NSF dup case) may name a key IB never actually
-        // inserted after a crash-restart; skip-with-CLR is not needed
-        // because no page changed.  Strictness elsewhere.
-        if (rec.type == LogRecordType::kUndoOnly) return Status::OK();
-        return Status::OK();
-      }
-      return s;
+      return s.IsNotFound() ? Status::OK() : s;
     }
     case BtreeOp::kPhysicalDelete: {
       KeyPayload kp;

@@ -42,9 +42,9 @@ namespace oib {
 enum class BtreeOp : uint8_t {
   kFormat = 1,         // NTA: init a page (payload: leaf u8, level u8)
   kInitAnchor = 2,     // NTA: write root id into the anchor page
-  kInsertKey = 3,      // undo-redo (or undo-only, NSF section 2.1.1)
+  kInsertKey = 3,      // undo-redo, or redo-only (NSF build, compensation)
   kPhysicalDelete = 4, // undo-redo; also the CLR image of undo-of-insert
-  kPseudoDelete = 5,   // undo-redo: set the pseudo-delete flag
+  kPseudoDelete = 5,   // redo-only (NSF deleter) or CLR: set the flag
   kReactivate = 6,     // undo-redo: clear the pseudo-delete flag
   kBatchInsert = 7,    // undo-redo: IB multi-key insert into one leaf
   kSplit = 8,          // NTA: page split (old + new + parent)
@@ -148,14 +148,18 @@ class BTree {
 
   // See InsertResult.  `flags` lets a deleter insert a tombstone directly
   // (kEntryPseudoDeleted); plain inserts pass 0.  `log_type` is kUpdate
-  // for forward processing; rollback *compensation* inserts (Figure 2
-  // logical index undo) pass kRedoOnly so they are never re-undone.
+  // for forward processing of a ready index.  Changes the heap record's
+  // undo compensates pass kRedoOnly: an NSF transaction's insert into the
+  // index being built, and the compensation inserts themselves (Figure 2
+  // logical index undo), which must never be re-undone.
   StatusOr<InsertResult> Insert(
       Transaction* txn, std::string_view key, const Rid& rid,
       uint8_t flags = 0,
       LogRecordType log_type = LogRecordType::kUpdate);
 
-  // Deleter logic of section 2.2.3 ("IB and Delete Operations").
+  // Deleter logic of section 2.2.3 ("IB and Delete Operations"), for an
+  // index an NSF build is creating.  Logged redo-only, tombstone insert
+  // included: the heap record's undo compensates it (Figure 2).
   StatusOr<DeleteResult> PseudoDelete(Transaction* txn, std::string_view key,
                                       const Rid& rid);
 
@@ -165,12 +169,6 @@ class BTree {
   Status PhysicalDelete(Transaction* txn, std::string_view key,
                         const Rid& rid,
                         LogRecordType log_type = LogRecordType::kUpdate);
-
-  // NSF section 2.1.1: the transaction found its key already inserted by
-  // IB; it writes an undo-only record so rollback will delete the key,
-  // without touching the page now.
-  Status LogUndoOnlyInsert(Transaction* txn, std::string_view key,
-                           const Rid& rid);
 
   // GC path (section 2.2.4): physically removes a pseudo-deleted entry,
   // redo-only logged (the deletion it garbage-collects is committed).
@@ -203,15 +201,6 @@ class BTree {
   Status CollectLeaves(std::vector<PageId>* out) const;
 
   uint64_t split_count() const { return splits_.load(); }
-
-  // True while an NSF build is in progress on this index.  Controls the
-  // deleter discipline during rollback: undoing a key insert must
-  // *pseudo-delete* the key rather than remove it ("the key delete may be
-  // happening as a result of ... a rollback action (undo of an earlier
-  // key insert)", section 2.2.3), because IB may have extracted the key
-  // and would otherwise resurrect a pointer to a rolled-back record.
-  void set_ib_active(bool active) { ib_active_.store(active); }
-  bool ib_active() const { return ib_active_.load(); }
 
   // Logical undo dispatch (called by BtreeRm): reverses one key-operation
   // log record, writing CLRs; re-traverses from the root because keys may
@@ -337,7 +326,6 @@ class BTree {
   PageId anchor_ = kInvalidPageId;
   std::atomic<PageId> root_{kInvalidPageId};
   std::atomic<uint64_t> splits_{0};
-  std::atomic<bool> ib_active_{false};
   std::atomic<IndexEntryObserver*> observer_{nullptr};
 };
 

@@ -18,6 +18,30 @@
 
 namespace oib {
 
+namespace {
+
+// Adds each record's key to every target's writer `k`.
+Status AddKeys(const std::vector<BuildPipeline::ScanTarget>& targets,
+               size_t k, const std::vector<std::pair<Rid, std::string>>& recs,
+               std::string* key_buf) {
+  for (const auto& [rid, rec] : recs) {
+    for (const BuildPipeline::ScanTarget& t : targets) {
+      OIB_RETURN_IF_ERROR(
+          Schema::ExtractKeyTo(rec, t.key_cols, t.key_types, key_buf));
+      OIB_RETURN_IF_ERROR(t.sorter->writer(k)->Add(*key_buf, rid));
+    }
+  }
+  return Status::OK();
+}
+
+// The WAL rule for extracted keys (ScanHooks::log).
+Status FlushExtracted(LogManager* log, Lsn max_page_lsn) {
+  if (log == nullptr || max_page_lsn == kInvalidLsn) return Status::OK();
+  return log->Flush(max_page_lsn);
+}
+
+}  // namespace
+
 std::string EncodeScanPlan(const ScanPlan& plan) {
   std::string out;
   PutFixed32(&out, plan.stop_page);
@@ -114,13 +138,15 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   }
 
   // Guards *plan and serializes hooks.checkpoint.  Lowest rank in the
-  // lattice: the checkpoint hook flushes the WAL and writes catalog meta
-  // pages, so the WAL flush mutex and page latches all nest under it.
+  // lattice: the checkpoint hook writes build meta through the disk, so
+  // its mutexes nest under it.
   sync::Mutex plan_mu{sync::LockRank::kBuildPlan, "buildpipeline.plan_mu"};
   std::atomic<bool> stop{false};
   std::vector<Status> worker_status(parts, Status::OK());
   std::vector<uint64_t> keys(parts, 0), pages(parts, 0), ckpts(parts, 0);
   std::vector<double> busy(parts, 0.0);
+  // Highest page LSN each worker extracted (ScanHooks::log).
+  std::vector<Lsn> max_lsn(parts, kInvalidLsn);
   // Only the single unbounded (final) partition's worker writes this.
   PageId tail_last = kInvalidPageId;
 
@@ -137,6 +163,7 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
     uint64_t keys_since_ckpt = 0;
     std::vector<std::pair<Rid, std::string>> recs;
     std::string key_buf;  // normalized-key scratch, reused per record
+    Lsn page_lsn = kInvalidLsn;
     Status status;
     while (next != kInvalidPageId && !stop.load(std::memory_order_relaxed)) {
       if (hooks.failpoint != nullptr &&
@@ -150,24 +177,17 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
           page, &recs,
           hooks.page_scanned
               ? std::function<void()>([&] { hooks.page_scanned(page); })
-              : std::function<void()>{});
+              : std::function<void()>{},
+          &page_lsn);
       if (!got.ok()) {
         status = got.status();
         break;
       }
-      for (auto& [rid, rec] : recs) {
-        for (size_t ti = 0; ti < targets.size() && status.ok(); ++ti) {
-          status = Schema::ExtractKeyTo(rec, targets[ti].key_cols,
-                                        targets[ti].key_types, &key_buf);
-          if (status.ok()) {
-            status = targets[ti].sorter->writer(k)->Add(key_buf, rid);
-          }
-        }
-        if (!status.ok()) break;
-        ++keys[k];
-        ++keys_since_ckpt;
-      }
+      max_lsn[k] = std::max(max_lsn[k], page_lsn);
+      status = AddKeys(targets, k, recs, &key_buf);
       if (!status.ok()) break;
+      keys[k] += recs.size();
+      keys_since_ckpt += recs.size();
       if (hooks.keys_progress && !recs.empty()) {
         hooks.keys_progress(recs.size());
       }
@@ -195,6 +215,9 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
             blobs.push_back(std::move(*b));
           }
         }
+        if (!status.ok()) break;
+        // The checkpoint makes every key this worker extracted durable.
+        status = FlushExtracted(hooks.log, max_lsn[k]);
         if (!status.ok()) break;
         sync::MutexLock g(&plan_mu);
         plan->parts[k].next = next;
@@ -227,15 +250,43 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   }
 
   Status first = Status::OK();
+  Lsn scan_lsn = kInvalidLsn;
   for (size_t k = 0; k < parts; ++k) {
     if (first.ok() && !worker_status[k].ok()) first = worker_status[k];
     result->keys_extracted += keys[k];
     result->pages_scanned += pages[k];
     result->checkpoints += ckpts[k];
     result->busy_ms += busy[k];
+    scan_lsn = std::max(scan_lsn, max_lsn[k]);
   }
   result->tail_last_scanned = tail_last;
-  return first;
+  OIB_RETURN_IF_ERROR(first);
+  return FlushExtracted(hooks.log, scan_lsn);
+}
+
+Status BuildPipeline::ExtractTail(const HeapFile* heap,
+                                  const std::vector<ScanTarget>& targets,
+                                  size_t writer, const ScanHooks& hooks,
+                                  ScanResult* scan) {
+  if (scan->tail_last_scanned == kInvalidPageId) return Status::OK();
+  // Records on the last scanned page were already extracted; only its
+  // link matters (ExtractPage reads it under the latch).
+  std::vector<std::pair<Rid, std::string>> recs;
+  auto next = heap->ExtractPage(scan->tail_last_scanned, &recs);
+  std::string key_buf;
+  Lsn page_lsn = kInvalidLsn, max_lsn = kInvalidLsn;
+  while (next.ok() && *next != kInvalidPageId) {
+    recs.clear();
+    next = heap->ExtractPage(*next, &recs, {}, &page_lsn);
+    if (!next.ok()) break;
+    max_lsn = std::max(max_lsn, page_lsn);
+    OIB_RETURN_IF_ERROR(AddKeys(targets, writer, recs, &key_buf));
+    scan->keys_extracted += recs.size();
+    ++scan->pages_scanned;
+    if (hooks.keys_progress && !recs.empty()) hooks.keys_progress(recs.size());
+  }
+  OIB_RETURN_IF_ERROR(next.status());
+  return FlushExtracted(hooks.log, max_lsn);
 }
 
 Status BuildPipeline::FinishSort(const std::vector<ScanTarget>& targets,

@@ -51,6 +51,7 @@ inline double MsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 class Engine;
+class LogManager;
 struct BuildStats;
 namespace obs {
 class Tracer;
@@ -113,6 +114,13 @@ class BuildPipeline {
     // Span of each partition worker (a static literal); its arg is the
     // partition index.
     const char* span_name = "build.scan";
+    // The log of the scanned pages' changes.  Extraction reads
+    // uncommitted records, so before a checkpoint persists extracted keys,
+    // and when the scan ends (ahead of the caller's end-of-scan save), the
+    // log is flushed up to the highest page LSN extracted: no key becomes
+    // durable ahead of its record's log record.  Null when no update can
+    // race the scan (offline).
+    LogManager* log = nullptr;
   };
 
   struct ScanResult {
@@ -136,6 +144,15 @@ class BuildPipeline {
                         const std::vector<ScanTarget>& targets, ScanPlan* plan,
                         const ScanHooks& hooks, size_t checkpoint_every_keys,
                         ScanResult* result);
+
+  // SF's extension race: extracts the pages chained after
+  // scan->tail_last_scanned into every target's writer `writer` (RunScan
+  // left them open), counts them into *scan and flushes hooks.log as the
+  // end of RunScan does.
+  static Status ExtractTail(const HeapFile* heap,
+                            const std::vector<ScanTarget>& targets,
+                            size_t writer, const ScanHooks& hooks,
+                            ScanResult* scan);
 
   // Ends the sort phase after RunScan (and any tail keys): records `scan`
   // in *stats, drains every target's writers, prepares its merge and

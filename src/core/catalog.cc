@@ -31,13 +31,6 @@ Status LoadHeapChains(DiskManager* disk,
   return Status::OK();
 }
 
-// NSF trees know whether IB is active (BTree::set_ib_active): while it is,
-// undoing a key insert pseudo-deletes (section 2.2.3).
-void MarkIbActive(const ActiveBuild& build, bool active) {
-  if (build.algo != BuildAlgo::kNsf) return;
-  for (const IndexRef& ix : build.indexes) ix.tree->set_ib_active(active);
-}
-
 }  // namespace
 
 // Lock ordering: the catalog never takes a page latch while holding mu_
@@ -106,11 +99,7 @@ void Catalog::PublishLocked(TableId table,
     if (d.state == IndexState::kReady) view->ready.push_back(RefLocked(d));
   }
   view->build = std::move(build);
-  const TableView* old =
-      views_[table].exchange(view.get(), std::memory_order_acq_rel);
-  if (old != nullptr && old->build != nullptr && old->build != view->build) {
-    MarkIbActive(*old->build, false);
-  }
+  views_[table].store(view.get(), std::memory_order_release);
   published_.push_back(std::move(view));
 }
 
@@ -208,7 +197,6 @@ StatusOr<std::shared_ptr<ActiveBuild>> Catalog::BeginBuild(
     }
     build->indexes.push_back(RefLocked(it->second));
   }
-  MarkIbActive(*build, true);
   PublishLocked(table, build);
   return build;
 }

@@ -8,6 +8,27 @@
 
 namespace oib {
 
+namespace {
+
+// The normalized key in hex: it holds NUL bytes, which would cut a
+// message printed with %s short of the RID.
+std::string HexKey(std::string_view key) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(key.size() * 2);
+  for (unsigned char c : key) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+std::string EntryName(const std::pair<std::string, Rid>& kv) {
+  return HexKey(kv.first) + "@" + kv.second.ToString();
+}
+
+}  // namespace
+
 StatusOr<IndexVerifyReport> IndexVerifier::Verify(TableId table,
                                                   IndexId index) {
   IndexVerifyReport report;
@@ -60,33 +81,30 @@ StatusOr<IndexVerifyReport> IndexVerifier::Verify(TableId table,
 
   for (const auto& [kv, count] : live) {
     if (count != 1) {
-      return fail("duplicate live entry " + kv.first + "@" +
-                  kv.second.ToString());
+      return fail("duplicate live entry " + EntryName(kv));
     }
     auto it = expected.find(kv);
     if (it == expected.end()) {
-      return fail("index entry without record: " + kv.first + "@" +
-                  kv.second.ToString());
+      return fail("index entry without record: " + EntryName(kv));
     }
   }
   for (const auto& [kv, count] : expected) {
     (void)count;
     if (live.find(kv) == live.end()) {
-      return fail("record key missing from index: " + kv.first + "@" +
-                  kv.second.ToString());
+      return fail("record key missing from index: " + EntryName(kv));
     }
   }
   for (const auto& kv : pseudo) {
     if (expected.find(kv) != expected.end()) {
       return fail("pseudo-deleted entry shadows a live record: " +
-                  kv.first + "@" + kv.second.ToString());
+                  EntryName(kv));
     }
   }
   if (desc->unique) {
     for (const auto& [value, count] : live_values) {
       if (count > 1) {
         return fail("unique index holds " + std::to_string(count) +
-                    " live entries for value " + value);
+                    " live entries for value " + HexKey(value));
       }
     }
   }

@@ -180,6 +180,7 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
     BuildPipeline::ScanHooks hooks;
     hooks.failpoint = "nsf.scan";
     hooks.span_name = "nsf.scan.part";
+    hooks.log = engine_->log();
     hooks.checkpoint = [&](const std::string& blob) -> Status {
       obs::ScopedSpan ckpt_span(tracer, "nsf.ckpt");
       meta.phase = 1;

@@ -2,19 +2,20 @@
 
 #include <algorithm>
 
+#include "common/failpoint.h"
+
 namespace oib {
 
 namespace {
 
 // Logged-count semantics: the count stored in every data-page log record
-// is the number of indexes the transaction maintained *directly* (ready
-// indexes plus, for NSF, the indexes under construction).  An SF index
-// routed through the side-file is deliberately NOT counted: during
-// rollback the uniform rule "compensate every index at ordinal >=
-// logged_count" then works across all visibility transitions, including
-// forward-op-routed-via-side-file followed by build completion (see
-// DESIGN.md for the full case analysis; the paper's Figure 2 count
-// comparison is ambiguous for that case).
+// is the number of *ready* indexes, exactly the ones the transaction
+// maintained with undo-redo records.  An in-build index, NSF or SF, is
+// never counted: NSF changes to it are logged redo-only and SF changes go
+// to the side-file, so rollback compensates every index at ordinal >=
+// logged_count from the heap record's images (Figure 2).  One rule covers
+// every visibility transition, including a build that completes between
+// the change and its rollback (see DESIGN.md for the case analysis).
 
 // The index change one heap change implies: remove `del_key`, then add
 // `ins_key` (an update that keeps the key implies neither).
@@ -133,12 +134,9 @@ RecordManager::MaintPlan RecordManager::PlanFor(TableId table,
   }
   if (plan.view == nullptr) return plan;
   plan.visible_count = static_cast<uint32_t>(plan.view->ready.size());
-  if (const ActiveBuild* build = plan.view->build.get()) {
-    if (build->algo == BuildAlgo::kNsf) {
-      plan.visible_count += static_cast<uint32_t>(build->indexes.size());
-    } else if (build->algo == BuildAlgo::kSf) {
-      plan.sf_visible = PackRid(rid) < build->current_rid.load();
-    }
+  const ActiveBuild* build = plan.view->build.get();
+  if (build != nullptr && build->algo == BuildAlgo::kSf) {
+    plan.sf_visible = PackRid(rid) < build->current_rid.load();
   }
   return plan;
 }
@@ -185,17 +183,15 @@ Status RecordManager::InsertKey(Transaction* txn, TableId table, BTree* tree,
     OIB_RETURN_IF_ERROR(
         ResolveUniqueConflict(txn, table, tree, key, rid));
   }
-  auto r = tree->Insert(txn, key, rid);
+  auto r = tree->Insert(txn, key, rid, 0,
+                        nsf_build ? LogRecordType::kRedoOnly
+                                  : LogRecordType::kUpdate);
   if (!r.ok()) return r.status();
   if (*r == BTree::InsertResult::kAlreadyPresent) {
-    if (nsf_build) {
-      // NSF section 2.1.1: IB physically inserted the key first; the
-      // transaction writes an undo-only record so its rollback would
-      // delete the key.
-      stats_.nsf_duplicate_inserts.fetch_add(1);
-      return tree->LogUndoOnlyInsert(txn, key, rid);
-    }
-    return Status::Corruption("duplicate key in ready index");
+    if (!nsf_build) return Status::Corruption("duplicate key in ready index");
+    // NSF section 2.1.1: IB physically inserted the key first.  Nothing
+    // to log: a rollback compensates from the heap record (UndoHook).
+    stats_.nsf_duplicate_inserts.fetch_add(1);
   }
   return Status::OK();
 }
@@ -220,6 +216,9 @@ Status RecordManager::Maintain(Transaction* txn, TableId table,
                                const MaintPlan& plan, HeapOp op,
                                const Rid& rid, std::string_view old_rec,
                                std::string_view new_rec) {
+  // Between the heap change and index maintenance: a crash test stops
+  // here to leave a durable heap record with no index records behind it.
+  OIB_FAIL_POINT("rm.maintain");
   auto maintain_direct = [&](const IndexRef& ix, bool nsf_build) -> Status {
     KeyDiff diff;
     OIB_RETURN_IF_ERROR(
@@ -488,28 +487,37 @@ Status RecordManager::UndoHook(Transaction* txn, TableId table,
     OIB_RETURN_IF_ERROR(compensate_direct(ix));
     stats_.rollback_compensations.fetch_add(1);
   }
+  // An in-build index is never counted, so it is always compensated.
   const ActiveBuild* build = plan.view->build.get();
   if (build == nullptr) return Status::OK();
   for (const IndexRef& ix : build->indexes) {
-    if (ordinal++ < logged_count) continue;
-    if (build->algo == BuildAlgo::kSf) {
-      if (plan.sf_visible) {
-        // Inverse side-file entries: the undo is itself a record
-        // modification the builder will not see (Figure 1 applied to the
-        // inverse operation).
-        KeyDiff diff;
-        OIB_RETURN_IF_ERROR(undo_diff(ix, &diff));
+    const bool nsf = build->algo == BuildAlgo::kNsf;
+    // SF, invisible: IB will extract the post-undo state; nothing to do.
+    if (!nsf && !plan.sf_visible) continue;
+    KeyDiff diff;
+    OIB_RETURN_IF_ERROR(undo_diff(ix, &diff));
+    if (nsf) {
+      // The deleter discipline of 2.2.3, redo-only like the forward
+      // change: pseudo-delete the undone image's key, leaving a tombstone
+      // that rejects IB's late insert of a key it extracted from the
+      // dirty record, and insert the restored key, which reactivates the
+      // forward change's tombstone.  No unique check: the key was there.
+      if (diff.del) {
         OIB_RETURN_IF_ERROR(
-            AppendSideFile(txn, ix.side_file, diff, rid, &stats_));
-        stats_.rollback_compensations.fetch_add(1);
+            DeleteKey(txn, ix.tree, /*nsf_build=*/true, diff.del_key, rid));
       }
-      // Invisible: IB will extract the post-undo state; nothing to do.
-    } else if (build->algo == BuildAlgo::kNsf) {
-      // NSF builds quiesce updates at descriptor creation (2.2.1), so a
-      // transaction older than the descriptor cannot exist; kept for
-      // safety with a tolerant direct compensation.
-      OIB_RETURN_IF_ERROR(compensate_direct(ix));
+      if (diff.ins) {
+        OIB_RETURN_IF_ERROR(InsertKey(txn, table, ix.tree, /*unique=*/false,
+                                      /*nsf_build=*/true, diff.ins_key, rid));
+      }
+    } else {
+      // Inverse side-file entries: the undo is itself a record
+      // modification the builder will not see (Figure 1 applied to the
+      // inverse operation).
+      OIB_RETURN_IF_ERROR(
+          AppendSideFile(txn, ix.side_file, diff, rid, &stats_));
     }
+    stats_.rollback_compensations.fetch_add(1);
   }
   return Status::OK();
 }

@@ -11,11 +11,12 @@
 //    delete discipline for an NSF build in progress, side-file appends
 //    for an SF build whose scan has passed the target RID;
 //  * Figure 2 rollback compensation (via HeapRm's undo hook, invoked
-//    under the data-page latch): comparing the logged count with the
-//    current count and logically undoing index changes on indexes made
-//    visible since the original data change — a side-file entry for an
-//    index still being built, a (redo-only) tree update for one that has
-//    completed.
+//    under the data-page latch): the logged count is the number of ready
+//    indexes, and every index beyond it is compensated from the heap
+//    record's images — the pseudo-delete discipline for an NSF build, a
+//    side-file entry for a visible SF build, a tree update for an index
+//    that has completed since the change.  All of it is logged redo-only,
+//    as are an NSF transaction's forward changes to its in-build index.
 //
 // Every plan starts from one load of the table's published view
 // (Catalog::view): its ready indexes and its active build, which carries
@@ -37,7 +38,7 @@ namespace oib {
 
 struct RecordManagerStats {
   std::atomic<uint64_t> side_file_appends{0};
-  std::atomic<uint64_t> nsf_duplicate_inserts{0};  // undo-only records
+  std::atomic<uint64_t> nsf_duplicate_inserts{0};  // IB's key came first
   std::atomic<uint64_t> tombstone_inserts{0};
   std::atomic<uint64_t> rollback_compensations{0};
 };

@@ -149,8 +149,6 @@ class SfRun {
   const IndexRef& ix(size_t i) const { return build_->indexes[i]; }
   // Phase 1: partitioned scan + pipelined sort, then merge preparation.
   Status Scan(const std::string& phase_blob);
-  Status ExtractLateTail(size_t tail_writer,
-                         BuildPipeline::ScanResult* scan);
   // Phase 2: bottom-up load of indexes [loading_idx, n).
   Status Load(uint32_t loading_idx, const std::string& loader_blob);
   Status LoadIndex(uint32_t idx, const std::string& loader_blob);
@@ -295,6 +293,7 @@ Status SfRun::Scan(const std::string& phase_blob) {
   BuildPipeline::ScanHooks hooks;
   hooks.failpoint = "sf.scan";
   hooks.span_name = "sf.scan.part";
+  hooks.log = engine_->log();
   hooks.page_scanned = [build](PageId page) {
     // Still holding the page's S latch: every record in this page is
     // now "behind" the scan.  CAS-max keeps the global frontier
@@ -318,8 +317,18 @@ Status SfRun::Scan(const std::string& phase_blob) {
       heap_, tracer_, targets, &*plan, hooks,
       options_.sort_checkpoint_every_keys, &scan_res));
 
+  // Extension race: a transaction may have chained a new page after the
+  // tail worker read next == invalid but before Current-RID became
+  // infinity; its inserts decided "invisible" and made no side-file
+  // entries.  Now that infinity is published, re-read the tail's next
+  // under the latch: any page linked before that re-read must still be
+  // extracted (pages linked after it see infinity and go through the
+  // side-file — the extraction is then merely redundant, which the
+  // tolerant apply handles).  Tail keys land in the last partition's
+  // still-open run writer.
   build_->SetCurrentRid(Rid::Infinity());
-  OIB_RETURN_IF_ERROR(ExtractLateTail(plan->parts.size() - 1, &scan_res));
+  OIB_RETURN_IF_ERROR(BuildPipeline::ExtractTail(
+      heap_, targets, plan->parts.size() - 1, hooks, &scan_res));
   scan_span.set_arg(scan_res.keys_extracted);
   scan_span.End();
 
@@ -329,44 +338,6 @@ Status SfRun::Scan(const std::string& phase_blob) {
       BuildPipeline::FinishSort(targets, scan_res, &stats_, &sort_blobs_));
   meta_.current_rid = PackRid(Rid::Infinity());
   return SaveProgress(2, EncodeSfLoadState(0, sort_blobs_, ""));
-}
-
-Status SfRun::ExtractLateTail(size_t tail_writer,
-                              BuildPipeline::ScanResult* scan) {
-  // Extension race: a transaction may have chained a new page after the
-  // tail worker read next == invalid but before Current-RID became
-  // infinity; its inserts decided "invisible" and made no side-file
-  // entries.  Now that infinity is published, re-read the tail's next
-  // under the latch: any page linked before that re-read must still be
-  // extracted (pages linked after it see infinity and go through the
-  // side-file — the extraction below is then merely redundant, which
-  // the tolerant apply handles).  Tail keys land in the last
-  // partition's still-open run writer.
-  const PageId last_scanned = scan->tail_last_scanned;
-  if (last_scanned == kInvalidPageId) return Status::OK();
-  // Records on last_scanned were already extracted; only the link
-  // matters (ExtractPage reads it under the latch).
-  std::vector<std::pair<Rid, std::string>> recs;
-  auto next = heap_->ExtractPage(last_scanned, &recs);
-  if (!next.ok()) return next.status();
-  std::string key_buf;
-  for (PageId page = *next; page != kInvalidPageId; page = *next) {
-    recs.clear();
-    next = heap_->ExtractPage(page, &recs);
-    if (!next.ok()) return next.status();
-    for (const auto& [rid, rec] : recs) {
-      for (size_t i = 0; i < n_; ++i) {
-        OIB_RETURN_IF_ERROR(Schema::ExtractKeyTo(
-            rec, ix(i).key_cols, ix(i).key_types, &key_buf));
-        OIB_RETURN_IF_ERROR(
-            sorters_[i]->writer(tail_writer)->Add(key_buf, rid));
-      }
-      ++scan->keys_extracted;
-      build_->keys_done.fetch_add(1, std::memory_order_relaxed);
-    }
-    ++scan->pages_scanned;
-  }
-  return Status::OK();
 }
 
 Status SfRun::Load(uint32_t loading_idx, const std::string& loader_blob) {
@@ -603,10 +574,12 @@ Status SfRun::Abort(const Status& cause) {
 
 Status SfIndexBuilder::Build(const BuildParams& params, IndexId* out,
                              BuildStats* stats) {
+  // BuildMany names the index before its scan starts, so a build stopped
+  // or failed after that still reports its id, as NSF's Build does.
   std::vector<IndexId> ids;
-  OIB_RETURN_IF_ERROR(BuildMany({params}, &ids, stats));
-  if (out != nullptr) *out = ids[0];
-  return Status::OK();
+  Status s = BuildMany({params}, &ids, stats);
+  if (out != nullptr && !ids.empty()) *out = ids[0];
+  return s;
 }
 
 Status SfIndexBuilder::BuildMany(const std::vector<BuildParams>& params,

@@ -355,7 +355,7 @@ bool HeapFile::Exists(Rid rid) const {
 
 StatusOr<PageId> HeapFile::ExtractPage(
     PageId page, std::vector<std::pair<Rid, std::string>>* out,
-    const std::function<void()>& under_latch) const {
+    const std::function<void()>& under_latch, Lsn* page_lsn) const {
   auto guard = pool_->FetchRead(page);
   if (!guard.ok()) return guard.status();
   SlottedPage sp(const_cast<char*>(guard->data()),
@@ -367,6 +367,7 @@ StatusOr<PageId> HeapFile::ExtractPage(
     }
   }
   if (under_latch) under_latch();
+  if (page_lsn != nullptr) *page_lsn = guard->page_lsn();
   return sp.next_page();
 }
 

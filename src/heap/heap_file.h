@@ -117,10 +117,13 @@ class HeapFile {
   // IB extraction: S-latches `page`, collects all live records, invokes
   // `under_latch` (if any) while still latched — SF advances Current-RID
   // there — and returns the next page id in the chain (kInvalidPageId at
-  // the chain's current end).
+  // the chain's current end).  `page_lsn`, when given, receives the page
+  // LSN read under the latch: the log must be durable up to it before the
+  // extracted records, committed or not, are made durable anywhere else.
   StatusOr<PageId> ExtractPage(
       PageId page, std::vector<std::pair<Rid, std::string>>* out,
-      const std::function<void()>& under_latch = {}) const;
+      const std::function<void()>& under_latch = {},
+      Lsn* page_lsn = nullptr) const;
 
   // Partition planning (BuildPipeline): returns the page ids in chain
   // order from the in-memory chain cache (rebuilt by Open's walk, extended

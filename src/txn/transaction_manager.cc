@@ -60,8 +60,7 @@ Status TransactionManager::UndoChain(Transaction* txn) {
         break;
       case LogRecordType::kBegin:
         return Status::OK();
-      case LogRecordType::kUpdate:
-      case LogRecordType::kUndoOnly: {
+      case LogRecordType::kUpdate: {
         ResourceManager* rm = rms_->Get(rec.rm_id);
         if (rm == nullptr) {
           return Status::Corruption("no RM for undo dispatch");

@@ -34,9 +34,9 @@ Status LogRecord::DeserializeFrom(std::string_view in, LogRecord* out) {
 }
 
 std::string LogRecord::ToString() const {
-  static const char* kTypeNames[] = {"?",        "Update", "RedoOnly",
-                                     "UndoOnly", "CLR",    "Begin",
-                                     "Commit",   "Abort",  "Checkpoint"};
+  static const char* kTypeNames[] = {"?",      "Update", "RedoOnly",
+                                     "?",      "CLR",    "Begin",
+                                     "Commit", "Abort",  "Checkpoint"};
   std::string s = "LogRecord{lsn=" + std::to_string(lsn) +
                   " prev=" + std::to_string(prev_lsn) +
                   " txn=" + std::to_string(txn_id) + " type=";

@@ -2,9 +2,9 @@
 //
 // Record taxonomy follows the paper's recovery assumptions (section 1.1):
 //  * kUpdate    — undo-redo record (both payloads present)
-//  * kRedoOnly  — redo-only record (e.g., side-file appends, SMO/NTAs)
-//  * kUndoOnly  — undo-only record (e.g., NSF transaction "inserted" a key
-//                 that IB had already physically inserted, section 2.1.1)
+//  * kRedoOnly  — redo-only record (e.g., side-file appends, SMO/NTAs, an
+//                 NSF transaction's key changes to the index being built,
+//                 which rollback compensates from the heap record)
 //  * kClr       — compensation record written during rollback; redo-only,
 //                 carries undo_next_lsn
 // plus transaction control records and a fuzzy-checkpoint record.
@@ -27,7 +27,6 @@ namespace oib {
 enum class LogRecordType : uint8_t {
   kUpdate = 1,
   kRedoOnly = 2,
-  kUndoOnly = 3,
   kClr = 4,
   kBegin = 5,
   kCommit = 6,
@@ -59,10 +58,7 @@ struct LogRecord {
     return type == LogRecordType::kUpdate ||
            type == LogRecordType::kRedoOnly || type == LogRecordType::kClr;
   }
-  bool RequiresUndo() const {
-    return type == LogRecordType::kUpdate ||
-           type == LogRecordType::kUndoOnly;
-  }
+  bool RequiresUndo() const { return type == LogRecordType::kUpdate; }
 
   void SerializeTo(std::string* out) const;
   static Status DeserializeFrom(std::string_view in, LogRecord* out);

@@ -36,6 +36,29 @@ class BTreeTest : public EngineTest {
     return buf;
   }
 
+  // A table of `rows` records and an index an NSF build is creating on
+  // it, published by hand as NsfIndexBuilder does after its quiesce, so
+  // record operations maintain the tree with the 2.2.3 discipline.
+  BTree* NewNsfTree(uint64_t rows, std::vector<Rid>* rids) {
+    table_ = MakeTable();
+    *rids = Populate(table_, rows);
+    auto desc = engine_->catalog()->CreateIndex("idx", table_, false, {0},
+                                                BuildAlgo::kNsf);
+    EXPECT_TRUE(desc.ok()) << desc.status().ToString();
+    index_ = desc->id;
+    auto build =
+        engine_->catalog()->BeginBuild(table_, BuildAlgo::kNsf, {index_});
+    EXPECT_TRUE(build.ok()) << build.status().ToString();
+    return engine_->catalog()->index(index_);
+  }
+
+  // The normalized index key of Populate's record `i`.
+  static std::string RecordKey(uint64_t i) {
+    std::string k;
+    keyenc::AppendStringColumn(&k, Workload::MakeKey(i, 12));
+    return k;
+  }
+
   TableId table_ = 0;
   IndexId index_ = kInvalidIndexId;
 };
@@ -110,15 +133,21 @@ TEST_F(BTreeTest, RollbackOfInsertRemovesKey) {
 }
 
 TEST_F(BTreeTest, RollbackOfPseudoDeleteReactivates) {
-  BTree* tree = NewTree();
-  Transaction* setup = engine_->Begin();
-  ASSERT_OK(tree->Insert(setup, "k", Rid(1, 1)).status());
-  ASSERT_OK(engine_->Commit(setup));
+  // An NSF deleter's pseudo-delete is logged redo-only; the heap record's
+  // undo reactivates the key (Figure 2 compensation).
+  std::vector<Rid> rids;
+  BTree* tree = NewNsfTree(20, &rids);
+  const std::string key = RecordKey(5);
+  Transaction* ib = engine_->Begin();
+  ASSERT_OK(tree->Insert(ib, key, rids[5]).status());
+  ASSERT_OK(engine_->Commit(ib));
 
   Transaction* txn = engine_->Begin();
-  ASSERT_OK(tree->PseudoDelete(txn, "k", Rid(1, 1)).status());
+  ASSERT_OK(engine_->records()->DeleteRecord(txn, table_, rids[5]));
+  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup(key, rids[5]));
+  EXPECT_TRUE(look.pseudo_deleted);
   ASSERT_OK(engine_->Rollback(txn));
-  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup("k", Rid(1, 1)));
+  ASSERT_OK_AND_ASSIGN(look, tree->Lookup(key, rids[5]));
   EXPECT_TRUE(look.found);
   EXPECT_FALSE(look.pseudo_deleted);
 }
@@ -126,30 +155,20 @@ TEST_F(BTreeTest, RollbackOfPseudoDeleteReactivates) {
 TEST_F(BTreeTest, RollbackOfTombstoneInsertPutsKeyInInsertedState) {
   // Section 2.2.3: the deleter's log record ensures that "in case the
   // transaction were to roll back, then the key will be reactivated
-  // (i.e., put in the inserted state)" — NOT removed.
-  BTree* tree = NewTree();
+  // (i.e., put in the inserted state)" — NOT removed.  Here that log
+  // record is the heap delete's, and its undo does the reactivation.
+  std::vector<Rid> rids;
+  BTree* tree = NewNsfTree(20, &rids);
+  const std::string key = RecordKey(5);
   Transaction* txn = engine_->Begin();
-  ASSERT_OK_AND_ASSIGN(auto d, tree->PseudoDelete(txn, "k", Rid(1, 1)));
-  ASSERT_EQ(d, BTree::DeleteResult::kTombstoneInserted);
+  ASSERT_OK(engine_->records()->DeleteRecord(txn, table_, rids[5]));
+  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup(key, rids[5]));
+  ASSERT_TRUE(look.found);
+  ASSERT_TRUE(look.pseudo_deleted);  // IB had not inserted it: a tombstone
   ASSERT_OK(engine_->Rollback(txn));
-  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup("k", Rid(1, 1)));
+  ASSERT_OK_AND_ASSIGN(look, tree->Lookup(key, rids[5]));
   EXPECT_TRUE(look.found);
   EXPECT_FALSE(look.pseudo_deleted);
-}
-
-TEST_F(BTreeTest, UndoOnlyInsertDeletesKeyOnRollback) {
-  // NSF section 2.1.1: IB inserted the key; the transaction wrote only an
-  // undo-only record.  Its rollback must remove the key.
-  BTree* tree = NewTree();
-  Transaction* ib = engine_->Begin();
-  ASSERT_OK(tree->Insert(ib, "k", Rid(1, 1)).status());
-  ASSERT_OK(engine_->Commit(ib));
-
-  Transaction* txn = engine_->Begin();
-  ASSERT_OK(tree->LogUndoOnlyInsert(txn, "k", Rid(1, 1)));
-  ASSERT_OK(engine_->Rollback(txn));
-  ASSERT_OK_AND_ASSIGN(auto look, tree->Lookup("k", Rid(1, 1)));
-  EXPECT_FALSE(look.found);
 }
 
 TEST_F(BTreeTest, PhysicalDeleteAndUndo) {
@@ -339,7 +358,7 @@ TEST_F(BTreeTest, CommittedKeysSurviveCrashLosersUndone) {
     ASSERT_OK(
         tree->Insert(loser, Key(i), Rid(static_cast<PageId>(i), 0)).status());
   }
-  ASSERT_OK(tree->PseudoDelete(loser, Key(7), Rid(7, 0)).status());
+  ASSERT_OK(tree->PhysicalDelete(loser, Key(7), Rid(7, 0)));
   ASSERT_OK(engine_->log()->FlushAll());
 
   CrashAndRestart();
@@ -350,7 +369,7 @@ TEST_F(BTreeTest, CommittedKeysSurviveCrashLosersUndone) {
     ASSERT_OK_AND_ASSIGN(auto look,
                          tree->Lookup(Key(i), Rid(static_cast<PageId>(i), 0)));
     EXPECT_TRUE(look.found) << i;
-    EXPECT_FALSE(look.pseudo_deleted) << i;  // loser's pseudo-delete undone
+    EXPECT_FALSE(look.pseudo_deleted) << i;  // loser's delete undone
   }
   for (int i = 300; i < 350; ++i) {
     ASSERT_OK_AND_ASSIGN(auto look,

@@ -132,6 +132,12 @@ TEST_F(IndexVerifierNegativeTest, DetectsExtraEntry) {
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("without record"), std::string::npos)
       << report.error;
+  // The key prints in hex, so a C-string print of the message reaches
+  // the RID.
+  EXPECT_NE(std::string(report.error.c_str())
+                .find("6e6f6e6578697374656e7421@" + Rid(9999, 9).ToString()),
+            std::string::npos)
+      << report.error;
 }
 
 TEST_F(IndexVerifierNegativeTest, DetectsShadowingTombstone) {

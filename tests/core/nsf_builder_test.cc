@@ -32,6 +32,23 @@ class NsfBuilderTest : public EngineTest {
     keyenc::AppendStringColumn(&k, v);
     return k;
   }
+
+  // Creates the descriptor and publishes its NSF build by hand, as
+  // NsfIndexBuilder::Build does under its quiesce, so a test can place
+  // record operations before IB's scan; Resume then runs IB on it.
+  IndexRef StageBuild(TableId table) {
+    auto desc = engine_->catalog()->CreateIndex("nsf_idx", table, false,
+                                                {0}, BuildAlgo::kNsf);
+    EXPECT_TRUE(desc.ok()) << desc.status().ToString();
+    auto build = engine_->catalog()->BeginBuild(table, BuildAlgo::kNsf,
+                                                {desc->id});
+    EXPECT_TRUE(build.ok()) << build.status().ToString();
+    return (*build)->indexes[0];
+  }
+
+  static std::string DirtyRecord() {
+    return Schema::EncodeRecord({"zzzzDIRTYKEY", "p"});
+  }
 };
 
 TEST_F(NsfBuilderTest, QuietBuildMatchesTable) {
@@ -209,12 +226,115 @@ TEST_F(NsfBuilderTest, DeleteDuringBuildLeavesTombstoneThatRejectsIb) {
   EXPECT_TRUE(look.pseudo_deleted);
 }
 
+TEST_F(NsfBuilderTest, RollbackAfterIbInsertedKeyFirstLeavesTombstone) {
+  // Section 2.1.1: IB inserts <K,R> first, so the transaction's own
+  // insert finds it and logs nothing.  Its rollback compensates from the
+  // heap record: the key is pseudo-deleted, and a later IB insert of the
+  // key it extracted from the dirty record cannot resurrect it.
+  TableId table = MakeTable();
+  auto rids = Populate(table, 50);
+  const Rid r = rids[7];
+  Transaction* deleter = engine_->Begin();
+  ASSERT_OK(engine_->records()->DeleteRecord(deleter, table, r));
+  ASSERT_OK(engine_->Commit(deleter));  // R is a dead slot, no index entry
+  const IndexRef ib = StageBuild(table);
+
+  const std::string key = Key("KKKKKKKK");
+  std::vector<IndexKeyRef> refs{{key, r}};
+  BTree::IbStats stats;
+  Transaction* ib_txn = engine_->Begin();
+  ASSERT_OK(ib.tree->IbInsertBatch(ib_txn, refs, false, nullptr, &stats));
+  ASSERT_OK(engine_->Commit(ib_txn));
+  ASSERT_EQ(stats.inserted, 1u);
+
+  const RecordManagerStats& rs = engine_->records()->stats();
+  const uint64_t dups = rs.nsf_duplicate_inserts.load();
+  Transaction* t = engine_->Begin();
+  ASSERT_OK(engine_->records()->InsertRecordAt(
+      t, table, r, Schema::EncodeRecord({"KKKKKKKK", "t"})));
+  EXPECT_EQ(rs.nsf_duplicate_inserts.load(), dups + 1);
+  ASSERT_OK(engine_->Rollback(t));
+  ASSERT_OK_AND_ASSIGN(auto look, ib.tree->Lookup(key, r));
+  EXPECT_TRUE(look.found);
+  EXPECT_TRUE(look.pseudo_deleted);
+
+  stats = BTree::IbStats();
+  ib_txn = engine_->Begin();
+  ASSERT_OK(ib.tree->IbInsertBatch(ib_txn, refs, false, nullptr, &stats));
+  ASSERT_OK(engine_->Commit(ib_txn));
+  EXPECT_EQ(stats.skipped_tombstones, 1u);
+  ASSERT_OK_AND_ASSIGN(look, ib.tree->Lookup(key, r));
+  EXPECT_TRUE(look.pseudo_deleted);
+}
+
+TEST_F(NsfBuilderTest, HeapChangeWithoutIndexRecordsCompensatedAtRestart) {
+  // A loser's heap update reaches the log but its index records do not
+  // (the update stops between the two).  Restart undo must compensate
+  // the in-build index from the heap record alone; otherwise the resumed
+  // IB inserts the dirty key its scan read, and the restored key is
+  // missing.
+  TableId table = MakeTable();
+  auto rids = Populate(table, 200);
+  const IndexRef ib = StageBuild(table);
+
+  FailPointRegistry::Instance().Arm("rm.maintain");
+  Transaction* t = engine_->Begin();
+  Status s = engine_->records()->UpdateRecord(t, table, rids[10],
+                                              DirtyRecord());
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+
+  // IB reads the dirty record and stops before its first insert, its
+  // sorted keys durable in the end-of-scan checkpoint.
+  FailPointRegistry::Instance().Arm("nsf.insert_batch");
+  NsfIndexBuilder builder(engine_.get());
+  IndexId index;
+  s = builder.Resume(table, &index);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+  ASSERT_EQ(index, ib.id);
+  ASSERT_OK(engine_->log()->FlushAll());
+
+  CrashAndRestart();
+  NsfIndexBuilder resumed(engine_.get());
+  ASSERT_OK(resumed.Resume(table, &index));
+  ExpectIndexConsistent(table, index);
+}
+
+TEST_F(NsfBuilderTest, ScanCheckpointForcesTheLogOfExtractedChanges) {
+  // IB's scan reads an uncommitted update whose log records are not yet
+  // durable, and checkpoints its sorted keys.  The checkpoint must force
+  // the log first: a crash that lost the update would leave the resumed
+  // build inserting a key no record ever durably had.
+  options_.sort_checkpoint_every_keys = 1;  // a checkpoint after each page
+  ReopenWithOptions();
+  TableId table = MakeTable();
+  auto rids = Populate(table, 200);
+  ASSERT_NE(rids[1].page, rids.back().page);
+  const IndexRef ib = StageBuild(table);
+
+  Transaction* t = engine_->Begin();
+  ASSERT_OK(engine_->records()->UpdateRecord(t, table, rids[1],
+                                             DirtyRecord()));
+  // The scan checkpoints after the update's page, then stops.
+  FailPointRegistry::Instance().Arm("nsf.scan", 1);
+  NsfIndexBuilder builder(engine_.get());
+  IndexId index;
+  Status s = builder.Resume(table, &index);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+
+  CrashAndRestart();
+  NsfIndexBuilder resumed(engine_.get());
+  ASSERT_OK(resumed.Resume(table, &index));
+  ASSERT_EQ(index, ib.id);
+  ExpectIndexConsistent(table, index);
+}
+
 TEST_F(NsfBuilderTest, UpdatesAcrossReadyFlipMaintainEachIndexOnce) {
   // An update planned while the index turns ready maintains it once: as
   // the NSF build's index or as a ready index, never as both.  Once the
   // build reports kDone, IB's inserts are committed, so every current key
-  // is in the tree and no updater needs a tombstone or an undo-only
-  // insert; a second, NSF-style maintenance of the ready index adds both.
+  // is in the tree and no updater needs a tombstone or finds its key
+  // already inserted; a second, NSF-style maintenance of the ready index
+  // would count both.
   options_.enable_hash_index = true;  // hash.commit fires at the flip
   ReopenWithOptions();
   TableId table = MakeTable();
@@ -473,22 +593,19 @@ TEST_F(NsfBuilderTest, PseudoDeleteGcCleansCommittedTombstones) {
 }
 
 TEST_F(NsfBuilderTest, GcSkipsUncommittedDeletions) {
+  // A deletion made during the build, still uncommitted when the build
+  // completes: its tombstone stays in the ready index, X-locked.
   TableId table = MakeTable();
   auto rids = Populate(table, 20);
+  StageBuild(table);
+  Transaction* deleter = engine_->Begin();
+  ASSERT_OK(engine_->records()->DeleteRecord(deleter, table, rids[0]));
   NsfIndexBuilder builder(engine_.get());
   IndexId index;
-  ASSERT_OK(builder.Build(Params(table), &index));
-
-  // A new build-in-progress is needed for pseudo-deletes; emulate one so
-  // DeleteRecord produces tombstones... Instead, use the tree directly:
-  // pseudo-delete under an uncommitted transaction holding the X lock.
-  BTree* tree = engine_->catalog()->index(index);
-  Transaction* deleter = engine_->Begin();
-  std::string key = Key(Workload::MakeKey(0, 12));
-  ASSERT_OK(engine_->locks()->Lock(deleter->id(),
-                                   RecordLockId(table, rids[0]),
-                                   LockMode::kX));
-  ASSERT_OK(tree->PseudoDelete(deleter, key, rids[0]).status());
+  ASSERT_OK(builder.Resume(table, &index));
+  ASSERT_OK_AND_ASSIGN(auto look, engine_->catalog()->index(index)->Lookup(
+                                      Key(Workload::MakeKey(0, 12)), rids[0]));
+  ASSERT_TRUE(look.pseudo_deleted);
 
   PseudoDeleteGC gc(engine_.get());
   GcStats stats;

@@ -495,6 +495,70 @@ TEST_F(SfBuilderTest, ResumeAfterCrashDuringLoad) {
   ExpectIndexConsistent(table, descs[0].id);
 }
 
+TEST_F(SfBuilderTest, BuildReportsIndexIdWhenStoppedAndResumes) {
+  // Build names its index before the scan, as NSF's does, so a build
+  // stopped by a fault still hands the caller the id to resume and check.
+  TableId table = MakeTable();
+  Populate(table, 1000);
+  FailPointRegistry::Instance().Arm("sf.load", 100);
+  SfIndexBuilder builder(engine_.get());
+  IndexId index = kInvalidIndexId;
+  Status s = builder.Build(Params(table), &index);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+  ASSERT_NE(index, kInvalidIndexId);
+  ASSERT_OK_AND_ASSIGN(auto desc, engine_->catalog()->descriptor(index));
+  EXPECT_EQ(desc.state, IndexState::kBuilding);
+
+  CrashAndRestart();
+  SfIndexBuilder resumed(engine_.get());
+  ASSERT_OK(resumed.Resume(table, nullptr));
+  ASSERT_OK_AND_ASSIGN(desc, engine_->catalog()->descriptor(index));
+  EXPECT_EQ(desc.state, IndexState::kReady);
+  ExpectIndexConsistent(table, index);
+}
+
+TEST_F(SfBuilderTest, ScanCheckpointForcesTheLogOfExtractedChanges) {
+  // IB's scan reads an uncommitted update whose log record is not yet
+  // durable, and checkpoints its sorted keys.  The checkpoint must force
+  // the log first: a crash that lost the update would leave the resumed
+  // load holding a key no record ever durably had, with no side-file
+  // entry to remove it.
+  options_.sort_checkpoint_every_keys = 1;  // a checkpoint after each page
+  ReopenWithOptions();
+  TableId table = MakeTable();
+  auto rids = Populate(table, 200);
+  ASSERT_NE(rids[1].page, rids.back().page);
+  // Create and publish the build as BuildMany does (creating the
+  // descriptor forces the log), so the update below comes after it.
+  auto desc = engine_->catalog()->CreateIndex("sf_idx", table, false, {0},
+                                              BuildAlgo::kSf);
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  ASSERT_OK(engine_->catalog()
+                ->BeginBuild(table, BuildAlgo::kSf, {desc->id})
+                .status());
+  BuildMeta meta;
+  meta.algo = BuildAlgo::kSf;
+  meta.indexes = {desc->id};
+  meta.phase = 1;
+  meta.current_rid = PackRid(Rid::MinusInfinity());
+  meta.fences.assign(1, {});
+  ASSERT_OK(SaveBuildMeta(engine_.get(), table, meta));
+
+  Transaction* t = engine_->Begin();
+  ASSERT_OK(engine_->records()->UpdateRecord(
+      t, table, rids[1], Schema::EncodeRecord({"zzzzDIRTYKEY", "p"})));
+  // The scan checkpoints after the update's page, then stops.
+  FailPointRegistry::Instance().Arm("sf.scan", 1);
+  SfIndexBuilder builder(engine_.get());
+  Status s = builder.Resume(table, nullptr);
+  ASSERT_TRUE(s.IsInjected()) << s.ToString();
+
+  CrashAndRestart();
+  SfIndexBuilder resumed(engine_.get());
+  ASSERT_OK(resumed.Resume(table, nullptr));
+  ExpectIndexConsistent(table, desc->id);
+}
+
 TEST_F(SfBuilderTest, ResumeAfterCrashDuringApply) {
   TableId table = MakeTable();
   auto rids = Populate(table, 2000);

@@ -74,8 +74,13 @@ TEST(EngineOnFileDiskTest, FullBuildPipelineOnRealFiles) {
   // page store.
   auto path = std::filesystem::temp_directory_path() /
               ("oib_engine_file_" + std::to_string(::getpid()));
-  std::filesystem::remove(path);
-  std::filesystem::remove(path.string() + ".meta");
+  // FileDisk keeps its data, its meta and its double-write file there.
+  auto remove_files = [&] {
+    for (const char* suffix : {"", ".meta", ".dw"}) {
+      std::filesystem::remove(path.string() + suffix);
+    }
+  };
+  remove_files();
 
   Options options;
   Env env;
@@ -101,9 +106,7 @@ TEST(EngineOnFileDiskTest, FullBuildPipelineOnRealFiles) {
   auto report = verifier.Verify(t, index);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok) << report->error;
-
-  std::filesystem::remove(path);
-  std::filesystem::remove(path.string() + ".meta");
+  remove_files();
 }
 
 }  // namespace

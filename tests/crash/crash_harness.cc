@@ -19,7 +19,8 @@
 //      fresh randomized kill.  Repeat until a worker finishes.
 //   3. A verify child restarts once more with no failpoints armed and
 //      checks every index against the table with IndexVerifier.  Any
-//      violation fails the iteration.
+//      violation fails the iteration, whose files are kept in
+//      <dir>.iter<N> (the path is printed).
 //
 // Every random choice derives from --seed, so a failing iteration is
 // replayed exactly by the REPRO line the harness prints.
@@ -399,6 +400,13 @@ int Run(const HarnessOptions& opts) {
                    iter_seed, sf ? "sf" : "nsf", opts.rows,
                    opts.update_threads, opts.site.empty() ? "" : " --site=",
                    opts.site.c_str());
+      // Keep the failing state for inspection: the next iteration starts
+      // from an empty directory.
+      const std::string kept = opts.dir + ".iter" + std::to_string(iter);
+      std::filesystem::remove_all(kept, ec);
+      std::filesystem::rename(opts.dir, kept, ec);
+      std::fprintf(stderr, "  files kept in %s%s\n", kept.c_str(),
+                   ec ? " (rename failed)" : "");
     } else if (opts.verbose || (iter + 1) % 10 == 0 ||
                iter + 1 == opts.iters) {
       std::fprintf(stderr,

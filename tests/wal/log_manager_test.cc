@@ -67,9 +67,6 @@ TEST(LogRecordTest, RedoUndoClassification) {
   rec.type = LogRecordType::kRedoOnly;
   EXPECT_TRUE(rec.RequiresRedo());
   EXPECT_FALSE(rec.RequiresUndo());
-  rec.type = LogRecordType::kUndoOnly;
-  EXPECT_FALSE(rec.RequiresRedo());
-  EXPECT_TRUE(rec.RequiresUndo());
   rec.type = LogRecordType::kClr;
   EXPECT_TRUE(rec.RequiresRedo());
   EXPECT_FALSE(rec.RequiresUndo());
