@@ -18,6 +18,7 @@ namespace {
 // to absorb the worst physical expansion of a prefix shrink.
 constexpr size_t kMaxKeySize = 128;
 constexpr size_t kSafeNodeFreeBytes = 288;
+constexpr size_t kAnchorRootOff = 8;
 
 // Split-record payload codec (kSplit).
 struct SplitPayload {
@@ -77,41 +78,93 @@ Status DecodeNewRootPayload(std::string_view in, PageId* anchor,
   return Status::OK();
 }
 
-// Decoded view of one leaf entry from a SerializeEntries blob.
-struct LeafEntryView {
-  uint8_t flags;
-  Rid rid;
-  std::string_view key;
-};
+// ---- Apply functions: the only code that changes B+-tree page bytes.
+// Forward processing, CLRs and restart redo all call them with the
+// decoded payload.  A multi-page record takes one pointer per page; redo
+// passes nullptr for a page whose LSN shows it already has the change.
 
-Status DecodeLeafEntriesBlob(std::string_view blob,
-                             std::vector<LeafEntryView>* out) {
-  BufferReader r(blob);
-  uint16_t n;
-  if (!r.GetFixed16(&n)) return Status::Corruption("leaf entry blob");
-  out->clear();
-  out->reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    uint16_t len;
-    if (!r.GetFixed16(&len) || r.remaining() < len) {
-      return Status::Corruption("leaf entry blob item");
-    }
-    std::string_view raw = blob.substr(r.position(), len);
-    r.Skip(len);
-    // Raw leaf entry: [flags u8][rid u32+u16][klen u16][key].
-    if (raw.size() < 9) return Status::Corruption("leaf raw entry");
-    LeafEntryView v;
-    v.flags = static_cast<uint8_t>(raw[0]);
-    v.rid = Rid(DecodeFixed32(raw.data() + 1), DecodeFixed16(raw.data() + 5));
-    uint16_t klen = DecodeFixed16(raw.data() + 7);
-    if (raw.size() < 9u + klen) return Status::Corruption("leaf raw entry");
-    v.key = raw.substr(9, klen);
-    out->push_back(v);
+void ApplyAnchorRoot(char* anchor, PageId root) {
+  EncodeFixed32(anchor + kAnchorRootOff, root);
+}
+
+// kNewRoot: an empty internal root above `old_root`, named by the anchor.
+void ApplyNewRoot(char* root, char* anchor, size_t page_size, PageId root_id,
+                  PageId old_root, uint8_t level) {
+  if (root != nullptr) {
+    BTreePage np(root, page_size);
+    np.Init(/*leaf=*/false, level);
+    np.set_leftmost_child(old_root);
+  }
+  if (anchor != nullptr) ApplyAnchorRoot(anchor, root_id);
+}
+
+// kSplit: the moved entries fill the new page, the split page keeps the
+// entries below the separator, and the parent gains the separator.
+Status ApplySplit(const SplitPayload& p, size_t page_size, char* new_page,
+                  char* split_page, char* parent) {
+  if (new_page != nullptr) {
+    BTreePage np(new_page, page_size);
+    np.Init(p.is_leaf != 0, p.level);
+    np.set_leftmost_child(p.new_leftmost);
+    OIB_RETURN_IF_ERROR(np.AppendSerialized(p.moved));
+    np.set_next(p.new_next);
+  }
+  if (split_page != nullptr) {
+    BTreePage node(split_page, page_size);
+    node.TruncateFrom(node.LowerBound(p.sep_key, p.sep_rid));
+    if (p.is_leaf != 0) node.set_next(p.new_page);
+  }
+  if (parent != nullptr) {
+    BTreePage pp(parent, page_size);
+    OIB_RETURN_IF_ERROR(
+        pp.InsertInternalAt(pp.LowerBound(p.sep_key, p.sep_rid), p.sep_key,
+                            p.sep_rid, p.new_page));
   }
   return Status::OK();
 }
 
-constexpr size_t kAnchorRootOff = 8;
+// The leaf entry changes.  kBatchInsert is kInsertKey once per entry.
+Status ApplyKeyOp(BTreePage* page, BtreeOp op, const KeyPayload& kp) {
+  if (op == BtreeOp::kInsertKey) {
+    return page->InsertLeafAt(page->LowerBound(kp.key, kp.rid), kp.key,
+                              kp.rid, kp.flags);
+  }
+  int pos = page->FindExact(kp.key, kp.rid);
+  if (pos < 0) return Status::Corruption("leaf change of an absent key");
+  switch (op) {
+    case BtreeOp::kPseudoDelete:
+      page->SetFlagsAt(pos, kEntryPseudoDeleted);
+      return Status::OK();
+    case BtreeOp::kReactivate:
+      page->SetFlagsAt(pos, 0);
+      return Status::OK();
+    case BtreeOp::kPhysicalDelete:
+    case BtreeOp::kGcRemove:
+      page->RemoveAt(pos);
+      return Status::OK();
+    default:
+      return Status::Corruption("not a leaf key op");
+  }
+}
+
+// A page X-latched for the redo of one record; data() is nullptr when the
+// page's LSN shows it already holds the change.
+struct RedoPage {
+  WritePageGuard guard;
+  bool apply = false;
+
+  Status Fetch(BufferPool* pool, PageId id, Lsn lsn) {
+    auto g = pool->FetchWrite(id);
+    if (!g.ok()) return g.status();
+    guard = std::move(*g);
+    apply = guard.page_lsn() < lsn;
+    return Status::OK();
+  }
+  char* data() { return apply ? guard.data() : nullptr; }
+  void Stamp(Lsn lsn) {
+    if (apply) guard.set_page_lsn(lsn);
+  }
+};
 
 }  // namespace
 
@@ -138,6 +191,17 @@ Status DecodeKeyPayload(std::string_view in, KeyPayload* out) {
 
 // ----------------------------- lifecycle -----------------------------
 
+LogRecord BTree::NewRecord(BtreeOp op, PageId page,
+                           LogRecordType type) const {
+  LogRecord rec;
+  rec.type = type;
+  rec.rm_id = RmId::kBtree;
+  rec.opcode = static_cast<uint8_t>(op);
+  rec.page_id = page;
+  rec.aux_id = index_id_;
+  return rec;
+}
+
 Status BTree::Create() {
   auto anchor_guard = pool_->NewPage(&anchor_);
   if (!anchor_guard.ok()) return anchor_guard.status();
@@ -146,31 +210,21 @@ Status BTree::Create() {
   if (!root_guard.ok()) return root_guard.status();
   BTreePage rp(root_guard->data(), page_size());
   rp.Init(/*leaf=*/true, /*level=*/0);
-  {
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kBtree;
-    rec.opcode = static_cast<uint8_t>(BtreeOp::kFormat);
-    rec.page_id = root_id;
-    rec.aux_id = index_id_;
-    rec.redo.push_back(1);  // leaf
-    rec.redo.push_back(0);  // level
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    root_guard->set_page_lsn(rec.lsn);
-  }
-  {
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kBtree;
-    rec.opcode = static_cast<uint8_t>(BtreeOp::kInitAnchor);
-    rec.page_id = anchor_;
-    rec.aux_id = index_id_;
-    PutFixed32(&rec.redo, root_id);
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    EncodeFixed32(anchor_guard->data() + kAnchorRootOff, root_id);
-    anchor_guard->set_page_lsn(rec.lsn);
-  }
-  root_.store(root_id);
+  LogRecord rec = NewRecord(BtreeOp::kFormat, root_id);
+  rec.redo.push_back(1);  // leaf
+  rec.redo.push_back(0);  // level
+  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
+  root_guard->set_page_lsn(rec.lsn);
+  return SetRoot(&*anchor_guard, root_id);
+}
+
+Status BTree::SetRoot(WritePageGuard* anchor, PageId root) {
+  LogRecord rec = NewRecord(BtreeOp::kInitAnchor, anchor_);
+  PutFixed32(&rec.redo, root);
+  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
+  ApplyAnchorRoot(anchor->data(), root);
+  anchor->set_page_lsn(rec.lsn);
+  root_.store(root);
   return Status::OK();
 }
 
@@ -251,24 +305,17 @@ Status BTree::DescendToLeafWrite(std::string_view key, const Rid& rid,
 }
 
 Status BTree::DescendPessimistic(std::string_view key, const Rid& rid,
-                                 size_t key_len_for_safety,
                                  std::vector<WritePageGuard>* path,
                                  bool ib_mode, KeyBound* high) {
-  (void)key_len_for_safety;
   // A node is "safe" if it cannot possibly need a split on this insert;
   // ancestors above a safe node are released.  IB inserts split leaves
-  // earlier (at the fill factor), so in ib_mode a leaf must also have
-  // soft-capacity room to count as safe — otherwise the retained path
-  // could be just [leaf] while a split is still required, and the split
-  // would wrongly grow a new root above a non-root page.
+  // earlier (at the fill factor), so in ib_mode a leaf must also be within
+  // it to count as safe — otherwise the retained path could be just
+  // [leaf] while a split is still required, and the split would wrongly
+  // grow a new root above a non-root page.
   auto is_safe = [&](const BTreePage& page) {
     if (page.LogicalFreeBytes() < kSafeNodeFreeBytes) return false;
-    if (ib_mode && page.is_leaf() && page.count() > 0) {
-      size_t entry = 1 + 6 + 2 + kMaxKeySize + 2;
-      return (page_size() - page.LogicalFreeBytes()) + entry <=
-             LeafSoftCapacity();
-    }
-    return true;
+    return !ib_mode || !page.is_leaf() || WithinFillFactor(page, kMaxKeySize);
   };
   path->clear();
   if (high != nullptr) high->valid = false;
@@ -328,21 +375,12 @@ Status BTree::GrowRoot(std::vector<WritePageGuard>* path) {
   auto anchor_guard = pool_->FetchWrite(anchor_);
   if (!anchor_guard.ok()) return anchor_guard.status();
 
-  LogRecord rec;
-  rec.type = LogRecordType::kRedoOnly;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kNewRoot);
-  rec.page_id = new_root_id;
-  rec.aux_id = index_id_;
+  LogRecord rec = NewRecord(BtreeOp::kNewRoot, new_root_id);
   EncodeNewRootPayload(&rec.redo, anchor_, old_root_id, new_level);
   OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-
-  BTreePage np(new_root->data(), page_size());
-  np.Init(/*leaf=*/false, new_level);
-  np.set_leftmost_child(old_root_id);
+  ApplyNewRoot(new_root->data(), anchor_guard->data(), page_size(),
+               new_root_id, old_root_id, new_level);
   new_root->set_page_lsn(rec.lsn);
-
-  EncodeFixed32(anchor_guard->data() + kAnchorRootOff, new_root_id);
   anchor_guard->set_page_lsn(rec.lsn);
   anchor_guard->Release();
 
@@ -371,8 +409,8 @@ Status BTree::EnsureParentHasRoom(std::vector<WritePageGuard>* path,
   WritePageGuard new_half;
   std::string psep_key;
   Rid psep_rid;
-  OIB_RETURN_IF_ERROR(
-      SplitNode(path, &parent_idx, mid, &new_half, &psep_key, &psep_rid));
+  OIB_RETURN_IF_ERROR(SplitNode(path, &parent_idx, mid, sep_key, sep_rid,
+                                &new_half, &psep_key, &psep_rid));
   if (CompareIndexKey(sep_key, sep_rid, psep_key, psep_rid) >= 0) {
     (*path)[parent_idx] = std::move(new_half);
   }
@@ -381,8 +419,9 @@ Status BTree::EnsureParentHasRoom(std::vector<WritePageGuard>* path,
 }
 
 Status BTree::SplitNode(std::vector<WritePageGuard>* path, size_t* idx,
-                        int split_at, WritePageGuard* new_guard,
-                        std::string* out_sep_key, Rid* out_sep_rid) {
+                        int split_at, std::string_view key, const Rid& rid,
+                        WritePageGuard* new_guard, std::string* out_sep_key,
+                        Rid* out_sep_rid) {
   if (*idx == 0) {
     // The topmost retained node is either safe (then it would not need a
     // split) or the root; grow the tree first.
@@ -391,141 +430,57 @@ Status BTree::SplitNode(std::vector<WritePageGuard>* path, size_t* idx,
   }
 
   SplitPayload p;
-  int moved_from;
   {
     BTreePage node((*path)[*idx].data(), page_size());
     bool leaf = node.is_leaf();
     int n = node.count();
-    // Leaves allow split_at == 0 (IB "move all higher keys" case,
-    // section 2.3.1); internal splits push entry[split_at] up, so they
-    // need at least one entry on each side.
-    assert(split_at >= 0 && split_at < n && (leaf || split_at > 0));
+    // A leaf splits anywhere in [0, n]: at 0 the IB split moves every key
+    // (section 2.3.1), at n nothing moves and (key, rid) bounds the new
+    // empty right page.  An internal split pushes entry[split_at] up, so
+    // it needs an entry on each side.
+    assert(leaf ? split_at >= 0 && split_at <= n
+                : split_at > 0 && split_at < n);
     p.is_leaf = leaf ? 1 : 0;
     p.level = node.level();
-    p.sep_key = node.KeyAt(split_at);
-    p.sep_rid = node.RidAt(split_at);
+    if (split_at < n) {
+      p.sep_key = node.KeyAt(split_at);
+      p.sep_rid = node.RidAt(split_at);
+    } else {
+      p.sep_key.assign(key.data(), key.size());
+      p.sep_rid = rid;
+    }
     if (leaf) {
-      moved_from = split_at;
-      p.new_leftmost = kInvalidPageId;
       p.new_next = node.next();
+      p.moved = node.SerializeEntries(split_at, n);
     } else {
       // The separator is pushed up; its child becomes the new page's
       // leftmost child.
-      moved_from = split_at + 1;
       p.new_leftmost = node.ChildAt(split_at);
-      p.new_next = kInvalidPageId;
+      p.moved = node.SerializeEntries(split_at + 1, n);
     }
-    p.moved = node.SerializeEntries(moved_from, n);
   }
 
   OIB_RETURN_IF_ERROR(EnsureParentHasRoom(path, idx, p.sep_key, p.sep_rid));
-  p.parent = (*path)[*idx - 1].page_id();
+  WritePageGuard& split_page = (*path)[*idx];
+  WritePageGuard& parent = (*path)[*idx - 1];
+  p.parent = parent.page_id();
 
-  PageId new_id;
-  auto ng = pool_->NewPage(&new_id);
+  auto ng = pool_->NewPage(&p.new_page);
   if (!ng.ok()) return ng.status();
-  p.new_page = new_id;
 
-  LogRecord rec;
-  rec.type = LogRecordType::kRedoOnly;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kSplit);
-  rec.page_id = (*path)[*idx].page_id();
-  rec.aux_id = index_id_;
+  LogRecord rec = NewRecord(BtreeOp::kSplit, split_page.page_id());
   EncodeSplitPayload(&rec.redo, p);
   OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-
-  // Apply: new page.
-  {
-    BTreePage np(ng->data(), page_size());
-    np.Init(p.is_leaf != 0, p.level);
-    np.set_leftmost_child(p.new_leftmost);
-    OIB_RETURN_IF_ERROR(np.AppendSerialized(p.moved));
-    np.set_next(p.new_next);
-    ng->set_page_lsn(rec.lsn);
-  }
-  // Apply: old page.
-  {
-    BTreePage node((*path)[*idx].data(), page_size());
-    node.TruncateFrom(p.is_leaf ? moved_from : split_at);
-    if (p.is_leaf) node.set_next(new_id);
-    (*path)[*idx].set_page_lsn(rec.lsn);
-  }
-  // Apply: parent.
-  {
-    BTreePage parent((*path)[*idx - 1].data(), page_size());
-    int pos = parent.LowerBound(p.sep_key, p.sep_rid);
-    OIB_RETURN_IF_ERROR(
-        parent.InsertInternalAt(pos, p.sep_key, p.sep_rid, new_id));
-    (*path)[*idx - 1].set_page_lsn(rec.lsn);
-  }
+  OIB_RETURN_IF_ERROR(ApplySplit(p, page_size(), ng->data(),
+                                 split_page.data(), parent.data()));
+  ng->set_page_lsn(rec.lsn);
+  split_page.set_page_lsn(rec.lsn);
+  parent.set_page_lsn(rec.lsn);
 
   splits_.fetch_add(1);
   *new_guard = std::move(*ng);
   *out_sep_key = std::move(p.sep_key);
   *out_sep_rid = p.sep_rid;
-  return Status::OK();
-}
-
-Status BTree::SplitEmptyRight(std::vector<WritePageGuard>* path, size_t idx,
-                              std::string_view key, const Rid& rid) {
-  if (idx == 0) {
-    OIB_RETURN_IF_ERROR(GrowRoot(path));
-    idx = 1;
-  }
-
-  SplitPayload p;
-  {
-    BTreePage node((*path)[idx].data(), page_size());
-    assert(node.is_leaf());
-    p.is_leaf = 1;
-    p.level = 0;
-    p.sep_key.assign(key.data(), key.size());
-    p.sep_rid = rid;
-    p.new_leftmost = kInvalidPageId;
-    p.new_next = node.next();
-    p.moved = node.SerializeEntries(node.count(), node.count());  // empty
-  }
-
-  OIB_RETURN_IF_ERROR(EnsureParentHasRoom(path, &idx, p.sep_key, p.sep_rid));
-  p.parent = (*path)[idx - 1].page_id();
-
-  PageId new_id;
-  auto ng = pool_->NewPage(&new_id);
-  if (!ng.ok()) return ng.status();
-  p.new_page = new_id;
-
-  LogRecord rec;
-  rec.type = LogRecordType::kRedoOnly;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kSplit);
-  rec.page_id = (*path)[idx].page_id();
-  rec.aux_id = index_id_;
-  EncodeSplitPayload(&rec.redo, p);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-
-  {
-    BTreePage np(ng->data(), page_size());
-    np.Init(/*leaf=*/true, 0);
-    np.set_next(p.new_next);
-    ng->set_page_lsn(rec.lsn);
-  }
-  {
-    BTreePage node((*path)[idx].data(), page_size());
-    node.set_next(new_id);
-    (*path)[idx].set_page_lsn(rec.lsn);
-  }
-  {
-    BTreePage parent((*path)[idx - 1].data(), page_size());
-    int pos = parent.LowerBound(p.sep_key, p.sep_rid);
-    OIB_RETURN_IF_ERROR(
-        parent.InsertInternalAt(pos, p.sep_key, p.sep_rid, new_id));
-    (*path)[idx - 1].set_page_lsn(rec.lsn);
-  }
-
-  splits_.fetch_add(1);
-  // The pending key belongs in the new (empty) right page.
-  path->back() = std::move(*ng);
   return Status::OK();
 }
 
@@ -538,15 +493,8 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
     int n, pos;
     {
       BTreePage leaf((*path)[leaf_idx].data(), page_size());
-      has_room = leaf.HasSpaceFor(KeySlice(key));
-      if (has_room && ib_mode && leaf.count() > 0) {
-        // Respect the IB fill factor: leave free space in each leaf for
-        // future inserts (section 2.2.3).  Measured logically so the fill
-        // factor is independent of how well the leaf compresses.
-        size_t entry = 1 + 6 + 2 + key.size() + 2;
-        has_room = (page_size() - leaf.LogicalFreeBytes()) + entry <=
-                   LeafSoftCapacity();
-      }
+      has_room = leaf.HasSpaceFor(KeySlice(key)) &&
+                 (!ib_mode || WithinFillFactor(leaf, key.size()));
       n = leaf.count();
       pos = leaf.LowerBound(key, rid);
       // The exact entry needs no room: a transaction inserted it while IB
@@ -571,18 +519,13 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
       if (split_at >= n) split_at = n - 1;
     }
 
-    if (split_at >= n) {
-      OIB_RETURN_IF_ERROR(SplitEmptyRight(path, leaf_idx, key, rid));
-      // SplitEmptyRight re-aims path->back() at the empty right leaf.
-    } else {
-      WritePageGuard new_half;
-      std::string sep_key;
-      Rid sep_rid;
-      OIB_RETURN_IF_ERROR(SplitNode(path, &leaf_idx, split_at, &new_half,
-                                    &sep_key, &sep_rid));
-      if (CompareIndexKey(key, rid, sep_key, sep_rid) >= 0) {
-        (*path)[leaf_idx] = std::move(new_half);
-      }
+    WritePageGuard new_half;
+    std::string sep_key;
+    Rid sep_rid;
+    OIB_RETURN_IF_ERROR(SplitNode(path, &leaf_idx, split_at, key, rid,
+                                  &new_half, &sep_key, &sep_rid));
+    if (CompareIndexKey(key, rid, sep_key, sep_rid) >= 0) {
+      (*path)[leaf_idx] = std::move(new_half);
     }
     // Loop to re-check space on the (possibly new) target leaf.
   }
@@ -593,63 +536,43 @@ size_t BTree::LeafSoftCapacity() const {
                              options_->leaf_fill_factor);
 }
 
+bool BTree::WithinFillFactor(const BTreePage& leaf, size_t key_len) const {
+  size_t entry = kLeafEntryHeader + 2 + key_len + 2;
+  return leaf.count() == 0 ||
+         (page_size() - leaf.LogicalFreeBytes()) + entry <=
+             LeafSoftCapacity();
+}
+
 // ------------------------ logged page mutations ----------------------
 
-Status BTree::LoggedLeafInsert(Transaction* txn, WritePageGuard* leaf,
-                               int pos, std::string_view key, const Rid& rid,
-                               uint8_t flags, LogRecordType type) {
-  LogRecord rec;
-  rec.type = type;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kInsertKey);
-  rec.page_id = leaf->page_id();
-  rec.aux_id = index_id_;
-  EncodeKeyPayload(&rec.redo, flags, key, rid);
+Status BTree::LogKeyOp(Transaction* txn, WritePageGuard* leaf, BtreeOp op,
+                       const KeyPayload& kp, LogRecordType type,
+                       Lsn undo_next) {
+  LogRecord rec = NewRecord(op, leaf->page_id(), type);
+  rec.undo_next_lsn = undo_next;
+  EncodeKeyPayload(&rec.redo, kp.flags, kp.key, kp.rid);
+  // Undo of a physical delete re-inserts the key with its old flags.
+  if (op == BtreeOp::kPhysicalDelete && type != LogRecordType::kClr) {
+    rec.undo = rec.redo;
+  }
   OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &rec));
   BTreePage page(leaf->data(), page_size());
-  OIB_RETURN_IF_ERROR(page.InsertLeafAt(pos, key, rid, flags));
+  OIB_RETURN_IF_ERROR(ApplyKeyOp(&page, op, kp));
   leaf->set_page_lsn(rec.lsn);
-  NotifyInsert(key, rid, flags);
-  return Status::OK();
-}
-
-Status BTree::LoggedSetFlags(Transaction* txn, WritePageGuard* leaf, int pos,
-                             std::string_view key, const Rid& rid,
-                             BtreeOp op, LogRecordType type) {
-  LogRecord rec;
-  rec.type = type;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(op);
-  rec.page_id = leaf->page_id();
-  rec.aux_id = index_id_;
-  EncodeKeyPayload(&rec.redo, 0, key, rid);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &rec));
-  BTreePage page(leaf->data(), page_size());
-  uint8_t new_flags =
-      op == BtreeOp::kPseudoDelete ? kEntryPseudoDeleted : uint8_t{0};
-  page.SetFlagsAt(pos, new_flags);
-  leaf->set_page_lsn(rec.lsn);
-  NotifySetFlags(key, rid, new_flags);
-  return Status::OK();
-}
-
-Status BTree::LoggedLeafRemove(Transaction* txn, WritePageGuard* leaf,
-                               int pos, std::string_view key,
-                               const Rid& rid, LogRecordType type) {
-  BTreePage page(leaf->data(), page_size());
-  uint8_t old_flags = page.FlagsAt(pos);
-  LogRecord rec;
-  rec.type = type;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kPhysicalDelete);
-  rec.page_id = leaf->page_id();
-  rec.aux_id = index_id_;
-  EncodeKeyPayload(&rec.redo, old_flags, key, rid);
-  EncodeKeyPayload(&rec.undo, old_flags, key, rid);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &rec));
-  page.RemoveAt(pos);
-  leaf->set_page_lsn(rec.lsn);
-  NotifyRemove(key, rid);
+  switch (op) {
+    case BtreeOp::kInsertKey:
+      NotifyInsert(kp.key, kp.rid, kp.flags);
+      break;
+    case BtreeOp::kPseudoDelete:
+      NotifySetFlags(kp.key, kp.rid, kEntryPseudoDeleted);
+      break;
+    case BtreeOp::kReactivate:
+      NotifySetFlags(kp.key, kp.rid, 0);
+      break;
+    default:
+      NotifyRemove(kp.key, kp.rid);
+      break;
+  }
   return Status::OK();
 }
 
@@ -667,37 +590,30 @@ StatusOr<BTree::InsertResult> BTree::Insert(Transaction* txn,
     WritePageGuard leaf;
     std::vector<WritePageGuard> path;
     if (pessimistic) {
-      OIB_RETURN_IF_ERROR(DescendPessimistic(key, rid, key.size(), &path));
+      OIB_RETURN_IF_ERROR(DescendPessimistic(key, rid, &path));
     } else {
       OIB_RETURN_IF_ERROR(DescendToLeafWrite(key, rid, &leaf));
     }
     WritePageGuard* lg = pessimistic ? &path.back() : &leaf;
     BTreePage page(lg->data(), page_size());
     int pos = page.LowerBound(key, rid);
-    bool exact = pos < page.count() && page.CompareEntryAt(pos, key, rid) == 0;
-    if (exact) {
-      uint8_t f = page.FlagsAt(pos);
-      if ((f & kEntryPseudoDeleted) == 0) return InsertResult::kAlreadyPresent;
-      if ((flags & kEntryPseudoDeleted) != 0) {
-        // Tombstone over tombstone: nothing to do.
+    if (pos < page.count() && page.CompareEntryAt(pos, key, rid) == 0) {
+      // A live entry, or a tombstone over a tombstone: nothing to do.
+      if ((page.FlagsAt(pos) & kEntryPseudoDeleted) == 0 ||
+          (flags & kEntryPseudoDeleted) != 0) {
         return InsertResult::kAlreadyPresent;
       }
-      OIB_RETURN_IF_ERROR(LoggedSetFlags(txn, lg, pos, key, rid,
-                                         BtreeOp::kReactivate, log_type));
+      OIB_RETURN_IF_ERROR(LogKeyOp(txn, lg, BtreeOp::kReactivate,
+                                   KeyPayload{0, rid, key}, log_type));
       return InsertResult::kReactivated;
     }
     if (!page.HasSpaceFor(KeySlice(key))) {
       if (!pessimistic) continue;  // retry with the full path held
       OIB_RETURN_IF_ERROR(MakeRoomInLeaf(&path, key, rid, /*ib_mode=*/false));
       lg = &path.back();
-      BTreePage page2(lg->data(), page_size());
-      pos = page2.LowerBound(key, rid);
-      OIB_RETURN_IF_ERROR(
-          LoggedLeafInsert(txn, lg, pos, key, rid, flags, log_type));
-      return InsertResult::kInserted;
     }
-    OIB_RETURN_IF_ERROR(
-        LoggedLeafInsert(txn, lg, pos, key, rid, flags, log_type));
+    OIB_RETURN_IF_ERROR(LogKeyOp(txn, lg, BtreeOp::kInsertKey,
+                                 KeyPayload{flags, rid, key}, log_type));
     return InsertResult::kInserted;
   }
   return Status::Corruption("unreachable insert state");
@@ -715,9 +631,9 @@ StatusOr<BTree::DeleteResult> BTree::PseudoDelete(Transaction* txn,
       if ((page.FlagsAt(pos) & kEntryPseudoDeleted) != 0) {
         return DeleteResult::kAlreadyPseudo;
       }
-      OIB_RETURN_IF_ERROR(LoggedSetFlags(txn, &leaf, pos, key, rid,
-                                         BtreeOp::kPseudoDelete,
-                                         LogRecordType::kRedoOnly));
+      OIB_RETURN_IF_ERROR(LogKeyOp(txn, &leaf, BtreeOp::kPseudoDelete,
+                                   KeyPayload{0, rid, key},
+                                   LogRecordType::kRedoOnly));
       return DeleteResult::kPseudoDeleted;
     }
     // Key absent: leave a tombstone so a later IB insert is rejected
@@ -743,7 +659,8 @@ Status BTree::PhysicalDelete(Transaction* txn, std::string_view key,
   BTreePage page(leaf.data(), page_size());
   int pos = page.FindExact(key, rid);
   if (pos < 0) return Status::NotFound("key not in index");
-  return LoggedLeafRemove(txn, &leaf, pos, key, rid, log_type);
+  return LogKeyOp(txn, &leaf, BtreeOp::kPhysicalDelete,
+                  KeyPayload{page.FlagsAt(pos), rid, key}, log_type);
 }
 
 Status BTree::GcRemove(std::string_view key, const Rid& rid) {
@@ -755,18 +672,9 @@ Status BTree::GcRemove(std::string_view key, const Rid& rid) {
   if ((page.FlagsAt(pos) & kEntryPseudoDeleted) == 0) {
     return Status::InvalidArgument("GC of a live key");
   }
-  LogRecord rec;
-  rec.type = LogRecordType::kRedoOnly;
-  rec.rm_id = RmId::kBtree;
-  rec.opcode = static_cast<uint8_t>(BtreeOp::kGcRemove);
-  rec.page_id = leaf.page_id();
-  rec.aux_id = index_id_;
-  EncodeKeyPayload(&rec.redo, kEntryPseudoDeleted, key, rid);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-  page.RemoveAt(pos);
-  leaf.set_page_lsn(rec.lsn);
-  NotifyRemove(key, rid);
-  return Status::OK();
+  return LogKeyOp(nullptr, &leaf, BtreeOp::kGcRemove,
+                  KeyPayload{kEntryPseudoDeleted, rid, key},
+                  LogRecordType::kRedoOnly);
 }
 
 // ------------------------------ lookups ------------------------------
@@ -824,31 +732,25 @@ Status BTree::IbInsertBatch(Transaction* txn,
     // 2.2.3 — consecutive sorted keys land in the same leaf.
     std::vector<WritePageGuard> path;
     KeyBound high;
-    OIB_RETURN_IF_ERROR(DescendPessimistic(
-        keys[i].key, keys[i].rid, keys[i].key.size(), &path,
-        /*ib_mode=*/true, &high));
+    OIB_RETURN_IF_ERROR(DescendPessimistic(keys[i].key, keys[i].rid, &path,
+                                           /*ib_mode=*/true, &high));
     if (stats != nullptr) ++stats->descents;
 
-    // Pending entries inserted into the current leaf but not yet logged.
-    std::string pending_blob;
-    uint16_t pending_count = 0;
+    // Entries inserted into the current leaf but not yet logged: the
+    // kBatchInsert payload, a full-key entry blob.
+    std::string pending;
+    InitEntryBlob(&pending);
     PageId pending_page = path.back().page_id();
 
     auto flush_pending = [&]() -> Status {
-      if (pending_count == 0) return Status::OK();
-      LogRecord rec;
-      rec.type = LogRecordType::kUpdate;
-      rec.rm_id = RmId::kBtree;
-      rec.opcode = static_cast<uint8_t>(BtreeOp::kBatchInsert);
-      rec.page_id = pending_page;
-      rec.aux_id = index_id_;
-      PutFixed16(&rec.redo, pending_count);
-      rec.redo.append(pending_blob);
+      if (EntryBlobCount(pending) == 0) return Status::OK();
+      LogRecord rec = NewRecord(BtreeOp::kBatchInsert, pending_page,
+                                LogRecordType::kUpdate);
+      rec.redo.swap(pending);
       OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &rec));
       path.back().set_page_lsn(rec.lsn);
       if (stats != nullptr) ++stats->log_records;
-      pending_blob.clear();
-      pending_count = 0;
+      InitEntryBlob(&pending);
       return Status::OK();
     };
 
@@ -863,8 +765,7 @@ Status BTree::IbInsertBatch(Transaction* txn,
       return CompareIndexKey(k, r, high.key, high.rid) < 0;
     };
 
-    bool leaf_done = false;
-    while (i < keys.size() && !leaf_done) {
+    while (i < keys.size()) {
       const IndexKeyRef& k = keys[i];
       if (k.key.size() > kMaxKeySize) {
         return Status::InvalidArgument("key too large");
@@ -907,14 +808,8 @@ Status BTree::IbInsertBatch(Transaction* txn,
           }
         }
       }
-      // Space check against the soft (fill-factor) capacity, in logical
-      // bytes so compression does not loosen the fill factor.
-      size_t entry = 1 + 6 + 2 + k.key.size() + 2;
-      bool fits = page.HasSpaceFor(k.key) &&
-                  (page.count() == 0 ||
-                   (page_size() - page.LogicalFreeBytes()) + entry <=
-                       LeafSoftCapacity());
-      if (!fits) {
+      if (!page.HasSpaceFor(k.key) ||
+          !WithinFillFactor(page, k.key.size())) {
         OIB_RETURN_IF_ERROR(flush_pending());
         // The leaf filled up under this descent, invalidating the
         // released-safe-ancestors invariant (path may be just [leaf]).
@@ -923,8 +818,8 @@ Status BTree::IbInsertBatch(Transaction* txn,
         // transaction may insert this very entry first.
         path.clear();
         OIB_FAIL_POINT("btree.ib_split");
-        OIB_RETURN_IF_ERROR(DescendPessimistic(k.key, k.rid, k.key.size(),
-                                               &path, /*ib_mode=*/true));
+        OIB_RETURN_IF_ERROR(
+            DescendPessimistic(k.key, k.rid, &path, /*ib_mode=*/true));
         if (stats != nullptr) ++stats->descents;
         OIB_RETURN_IF_ERROR(MakeRoomInLeaf(&path, k.key, k.rid,
                                            /*ib_mode=*/true));
@@ -932,26 +827,16 @@ Status BTree::IbInsertBatch(Transaction* txn,
         // The split moved this leaf's high fence; re-descend so the run
         // is bounded by the post-split fence, not the stale one.
         path.clear();
-        OIB_RETURN_IF_ERROR(DescendPessimistic(k.key, k.rid, k.key.size(),
-                                               &path, /*ib_mode=*/true,
-                                               &high));
+        OIB_RETURN_IF_ERROR(DescendPessimistic(k.key, k.rid, &path,
+                                               /*ib_mode=*/true, &high));
         if (stats != nullptr) ++stats->descents;
         pending_page = path.back().page_id();
         continue;  // re-evaluate the same key on the new leaf
       }
-      BTreePage page2(path.back().data(), page_size());
-      int pos2 = page2.LowerBound(k.key, k.rid);
-      OIB_RETURN_IF_ERROR(page2.InsertLeafAt(pos2, k.key, k.rid, 0));
+      OIB_RETURN_IF_ERROR(ApplyKeyOp(&page, BtreeOp::kInsertKey,
+                                     KeyPayload{0, k.rid, k.key}));
       NotifyInsert(k.key, k.rid, 0);
-      std::string raw;
-      raw.push_back(0);  // flags
-      PutFixed32(&raw, k.rid.page);
-      PutFixed16(&raw, k.rid.slot);
-      PutFixed16(&raw, static_cast<uint16_t>(k.key.size()));
-      raw.append(k.key.data(), k.key.size());
-      PutFixed16(&pending_blob, static_cast<uint16_t>(raw.size()));
-      pending_blob.append(raw);
-      ++pending_count;
+      AppendLeafBlobEntry(&pending, 0, k.rid, k.key);
       if (stats != nullptr) ++stats->inserted;
       ++i;
     }
@@ -1004,40 +889,15 @@ Status BtreeRm::Redo(const LogRecord& rec) {
   if (op == BtreeOp::kSplit) {
     SplitPayload p;
     OIB_RETURN_IF_ERROR(DecodeSplitPayload(rec.redo, &p));
-    {
-      auto ng = pool_->FetchWrite(p.new_page);
-      if (!ng.ok()) return ng.status();
-      if (ng->page_lsn() < rec.lsn) {
-        BTreePage np(ng->data(), page_size);
-        np.Init(p.is_leaf != 0, p.level);
-        np.set_leftmost_child(p.new_leftmost);
-        OIB_RETURN_IF_ERROR(np.AppendSerialized(p.moved));
-        np.set_next(p.new_next);
-        ng->set_page_lsn(rec.lsn);
-      }
-    }
-    {
-      auto og = pool_->FetchWrite(rec.page_id);
-      if (!og.ok()) return og.status();
-      if (og->page_lsn() < rec.lsn) {
-        BTreePage node(og->data(), page_size);
-        int cut = node.LowerBound(p.sep_key, p.sep_rid);
-        node.TruncateFrom(cut);
-        if (p.is_leaf) node.set_next(p.new_page);
-        og->set_page_lsn(rec.lsn);
-      }
-    }
-    if (p.parent != kInvalidPageId) {
-      auto pg = pool_->FetchWrite(p.parent);
-      if (!pg.ok()) return pg.status();
-      if (pg->page_lsn() < rec.lsn) {
-        BTreePage parent(pg->data(), page_size);
-        int pos = parent.LowerBound(p.sep_key, p.sep_rid);
-        OIB_RETURN_IF_ERROR(
-            parent.InsertInternalAt(pos, p.sep_key, p.sep_rid, p.new_page));
-        pg->set_page_lsn(rec.lsn);
-      }
-    }
+    RedoPage np, split_page, parent;
+    OIB_RETURN_IF_ERROR(np.Fetch(pool_, p.new_page, rec.lsn));
+    OIB_RETURN_IF_ERROR(split_page.Fetch(pool_, rec.page_id, rec.lsn));
+    OIB_RETURN_IF_ERROR(parent.Fetch(pool_, p.parent, rec.lsn));
+    OIB_RETURN_IF_ERROR(ApplySplit(p, page_size, np.data(), split_page.data(),
+                                   parent.data()));
+    np.Stamp(rec.lsn);
+    split_page.Stamp(rec.lsn);
+    parent.Stamp(rec.lsn);
     return Status::OK();
   }
 
@@ -1046,86 +906,47 @@ Status BtreeRm::Redo(const LogRecord& rec) {
     uint8_t level;
     OIB_RETURN_IF_ERROR(
         DecodeNewRootPayload(rec.redo, &anchor, &old_root, &level));
-    {
-      auto rg = pool_->FetchWrite(rec.page_id);
-      if (!rg.ok()) return rg.status();
-      if (rg->page_lsn() < rec.lsn) {
-        BTreePage np(rg->data(), page_size);
-        np.Init(/*leaf=*/false, level);
-        np.set_leftmost_child(old_root);
-        rg->set_page_lsn(rec.lsn);
-      }
-    }
-    {
-      auto ag = pool_->FetchWrite(anchor);
-      if (!ag.ok()) return ag.status();
-      if (ag->page_lsn() < rec.lsn) {
-        EncodeFixed32(ag->data() + kAnchorRootOff, rec.page_id);
-        ag->set_page_lsn(rec.lsn);
-      }
-    }
+    RedoPage root, anchor_page;
+    OIB_RETURN_IF_ERROR(root.Fetch(pool_, rec.page_id, rec.lsn));
+    OIB_RETURN_IF_ERROR(anchor_page.Fetch(pool_, anchor, rec.lsn));
+    ApplyNewRoot(root.data(), anchor_page.data(), page_size, rec.page_id,
+                 old_root, level);
+    root.Stamp(rec.lsn);
+    anchor_page.Stamp(rec.lsn);
     return Status::OK();
   }
 
-  auto guard = pool_->FetchWrite(rec.page_id);
-  if (!guard.ok()) return guard.status();
-  if (guard->page_lsn() >= rec.lsn) return Status::OK();
-  BTreePage page(guard->data(), page_size);
-
+  RedoPage target;
+  OIB_RETURN_IF_ERROR(target.Fetch(pool_, rec.page_id, rec.lsn));
+  if (!target.apply) return Status::OK();
+  BTreePage page(target.data(), page_size);
   switch (op) {
-    case BtreeOp::kFormat: {
+    case BtreeOp::kFormat:
       if (rec.redo.size() < 2) return Status::Corruption("format redo");
       page.Init(rec.redo[0] != 0, static_cast<uint8_t>(rec.redo[1]));
       break;
-    }
     case BtreeOp::kInitAnchor: {
       BufferReader r(rec.redo);
       uint32_t root;
       if (!r.GetFixed32(&root)) return Status::Corruption("anchor redo");
-      EncodeFixed32(guard->data() + kAnchorRootOff, root);
+      ApplyAnchorRoot(target.data(), root);
       break;
     }
-    case BtreeOp::kInsertKey: {
+    case BtreeOp::kBatchInsert:
+      OIB_RETURN_IF_ERROR(ForEachBlobEntry(
+          rec.redo, kLeafEntryHeader, [&](const BlobEntry& e) {
+            return ApplyKeyOp(&page, BtreeOp::kInsertKey,
+                              KeyPayload{e.flags(), e.rid(), e.key});
+          }));
+      break;
+    default: {
       KeyPayload kp;
       OIB_RETURN_IF_ERROR(DecodeKeyPayload(rec.redo, &kp));
-      int pos = page.LowerBound(kp.key, kp.rid);
-      OIB_RETURN_IF_ERROR(
-          page.InsertLeafAt(pos, kp.key, kp.rid, kp.flags));
+      OIB_RETURN_IF_ERROR(ApplyKeyOp(&page, op, kp));
       break;
     }
-    case BtreeOp::kPseudoDelete:
-    case BtreeOp::kReactivate: {
-      KeyPayload kp;
-      OIB_RETURN_IF_ERROR(DecodeKeyPayload(rec.redo, &kp));
-      int pos = page.FindExact(kp.key, kp.rid);
-      if (pos < 0) return Status::Corruption("redo flag on absent key");
-      page.SetFlagsAt(pos, op == BtreeOp::kPseudoDelete
-                               ? kEntryPseudoDeleted
-                               : 0);
-      break;
-    }
-    case BtreeOp::kPhysicalDelete:
-    case BtreeOp::kGcRemove: {
-      KeyPayload kp;
-      OIB_RETURN_IF_ERROR(DecodeKeyPayload(rec.redo, &kp));
-      int pos = page.FindExact(kp.key, kp.rid);
-      if (pos < 0) return Status::Corruption("redo remove of absent key");
-      page.RemoveAt(pos);
-      break;
-    }
-    case BtreeOp::kBatchInsert: {
-      std::vector<LeafEntryView> entries;
-      OIB_RETURN_IF_ERROR(DecodeLeafEntriesBlob(rec.redo, &entries));
-      for (const LeafEntryView& e : entries) {
-        int pos = page.LowerBound(e.key, e.rid);
-        OIB_RETURN_IF_ERROR(page.InsertLeafAt(pos, e.key, e.rid, e.flags));
-      }
-      break;
-    }
-    default:
-      return Status::Corruption("unknown btree redo opcode");
   }
-  guard->set_page_lsn(rec.lsn);
+  target.Stamp(rec.lsn);
   return Status::OK();
 }
 
@@ -1140,7 +961,8 @@ Status BtreeRm::Undo(Transaction* txn, const LogRecord& rec) {
 }
 
 // Logical undo with CLRs.  Keys may have moved pages since the forward
-// action, so every undo re-traverses from the root (ARIES/IM).
+// action, so every undo re-traverses from the root (ARIES/IM).  A CLR is
+// the inverse key op logged and applied by LogKeyOp, as forward ops are.
 Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
   BtreeOp op = static_cast<BtreeOp>(rec.opcode);
 
@@ -1150,14 +972,8 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
     OIB_RETURN_IF_ERROR(DescendToLeafWrite(kp.key, kp.rid, &leaf));
     BTreePage page(leaf.data(), page_size());
     int pos = page.FindExact(kp.key, kp.rid);
-    LogRecord clr;
-    clr.rm_id = RmId::kBtree;
-    clr.aux_id = index_id_;
-    clr.page_id = leaf.page_id();
-    clr.type = LogRecordType::kClr;
-    clr.undo_next_lsn = undo_next;
     switch (fwd) {
-      case BtreeOp::kInsertKey: {
+      case BtreeOp::kInsertKey:
         if (pos < 0) return Status::NotFound("key vanished");
         if (from_ib_batch &&
             (page.FlagsAt(pos) & kEntryPseudoDeleted) != 0) {
@@ -1167,45 +983,25 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
           // record is gone).  A loser deleter's own undo reactivates it.
           return Status::OK();
         }
-        clr.opcode = static_cast<uint8_t>(BtreeOp::kPhysicalDelete);
-        EncodeKeyPayload(&clr.redo, page.FlagsAt(pos), kp.key, kp.rid);
-        OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-        page.RemoveAt(pos);
-        leaf.set_page_lsn(clr.lsn);
-        NotifyRemove(kp.key, kp.rid);
-        return Status::OK();
-      }
-      case BtreeOp::kReactivate: {
+        return LogKeyOp(txn, &leaf, BtreeOp::kPhysicalDelete,
+                        KeyPayload{page.FlagsAt(pos), kp.rid, kp.key},
+                        LogRecordType::kClr, undo_next);
+      case BtreeOp::kReactivate:
         if (pos < 0) return Status::NotFound("key vanished");
-        clr.opcode = static_cast<uint8_t>(BtreeOp::kPseudoDelete);
-        EncodeKeyPayload(&clr.redo, 0, kp.key, kp.rid);
-        OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-        page.SetFlagsAt(pos, kEntryPseudoDeleted);
-        leaf.set_page_lsn(clr.lsn);
-        NotifySetFlags(kp.key, kp.rid, kEntryPseudoDeleted);
-        return Status::OK();
-      }
+        return LogKeyOp(txn, &leaf, BtreeOp::kPseudoDelete,
+                        KeyPayload{0, kp.rid, kp.key}, LogRecordType::kClr,
+                        undo_next);
       case BtreeOp::kPhysicalDelete: {
         // Re-insert with the original flags (kept in the undo payload).
         if (pos >= 0) return Status::OK();  // already back (re-undo)
         leaf.Release();
         // May need splits: go through the pessimistic path.
         std::vector<WritePageGuard> path;
-        OIB_RETURN_IF_ERROR(
-            DescendPessimistic(kp.key, kp.rid, kp.key.size(), &path));
+        OIB_RETURN_IF_ERROR(DescendPessimistic(kp.key, kp.rid, &path));
         OIB_RETURN_IF_ERROR(
             MakeRoomInLeaf(&path, kp.key, kp.rid, /*ib_mode=*/false));
-        BTreePage lp(path.back().data(), page_size());
-        int ipos = lp.LowerBound(kp.key, kp.rid);
-        clr.page_id = path.back().page_id();
-        clr.opcode = static_cast<uint8_t>(BtreeOp::kInsertKey);
-        EncodeKeyPayload(&clr.redo, kp.flags, kp.key, kp.rid);
-        OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &clr));
-        OIB_RETURN_IF_ERROR(
-            lp.InsertLeafAt(ipos, kp.key, kp.rid, kp.flags));
-        path.back().set_page_lsn(clr.lsn);
-        NotifyInsert(kp.key, kp.rid, kp.flags);
-        return Status::OK();
+        return LogKeyOp(txn, &path.back(), BtreeOp::kInsertKey, kp,
+                        LogRecordType::kClr, undo_next);
       }
       default:
         return Status::Corruption("bad btree undo op");
@@ -1226,21 +1022,19 @@ Status BTree::UndoKeyOp(Transaction* txn, const LogRecord& rec) {
       return undo_one(kp, op, rec.prev_lsn);
     }
     case BtreeOp::kBatchInsert: {
-      std::vector<LeafEntryView> entries;
-      OIB_RETURN_IF_ERROR(DecodeLeafEntriesBlob(rec.redo, &entries));
       // Multi-entry undo: every CLR but the last points back at this
       // record, so a crash mid-undo re-runs the whole (idempotent,
       // skip-absent) batch; the last CLR releases it.
-      for (size_t j = 0; j < entries.size(); ++j) {
-        const LeafEntryView& e = entries[j];
-        KeyPayload kp{e.flags, e.rid, e.key};
-        Lsn undo_next =
-            (j + 1 == entries.size()) ? rec.prev_lsn : rec.lsn;
-        Status s = undo_one(kp, BtreeOp::kInsertKey, undo_next,
-                            /*from_ib_batch=*/true);
-        if (!s.ok() && !s.IsNotFound()) return s;
-      }
-      return Status::OK();
+      const uint16_t n = EntryBlobCount(rec.redo);
+      uint16_t j = 0;
+      return ForEachBlobEntry(
+          rec.redo, kLeafEntryHeader, [&](const BlobEntry& e) -> Status {
+            Lsn undo_next = ++j == n ? rec.prev_lsn : rec.lsn;
+            Status s = undo_one(KeyPayload{e.flags(), e.rid(), e.key},
+                                BtreeOp::kInsertKey, undo_next,
+                                /*from_ib_batch=*/true);
+            return s.IsNotFound() ? Status::OK() : s;
+          });
     }
     default:
       return Status::Corruption("undo of non-undoable btree op");

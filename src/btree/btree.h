@@ -13,7 +13,9 @@
 //    configurable free space in each leaf (section 2.3.1);
 //  * ARIES-style logging: undo-redo records for key operations (logical
 //    undo via re-traversal, with CLRs), redo-only nested-top-action
-//    records for page splits and root growth.
+//    records for page splits and root growth.  Each record type has one
+//    apply function (btree.cc) that forward processing, CLRs and restart
+//    redo all call.
 //
 // The root pointer lives in a dedicated *anchor page* so that root growth
 // is recoverable with ordinary page-LSN-guarded redo.  An in-memory atomic
@@ -47,6 +49,7 @@ enum class BtreeOp : uint8_t {
   kPseudoDelete = 5,   // redo-only (NSF deleter) or CLR: set the flag
   kReactivate = 6,     // undo-redo: clear the pseudo-delete flag
   kBatchInsert = 7,    // undo-redo: IB multi-key insert into one leaf
+                       // (payload: a full-key entry blob, btree_page.h)
   kSplit = 8,          // NTA: page split (old + new + parent)
   kNewRoot = 9,        // NTA: tree grows a level
   kGcRemove = 10,      // redo-only: GC removal of a committed tombstone
@@ -248,7 +251,6 @@ class BTree {
   // key: sibling content drifts (recovery undo or GC can physically
   // remove the sibling's first entry), the key-space partition does not.
   Status DescendPessimistic(std::string_view key, const Rid& rid,
-                            size_t key_len_for_safety,
                             std::vector<WritePageGuard>* path,
                             bool ib_mode = false, KeyBound* high = nullptr);
 
@@ -260,21 +262,18 @@ class BTree {
                         std::string_view key, const Rid& rid, bool ib_mode);
 
   // Splits the node at path index `idx` (path holds X guards from some
-  // ancestor down to idx).  Chooses split point `split_at`, logs a kSplit
-  // NTA, and applies it.  Outputs the new sibling's guard and the
-  // separator that now bounds it from below.  May grow the tree and/or
-  // split parents recursively; indices in `path` stay aligned (a new root
-  // is inserted at the front).
+  // ancestor down to idx) at entry `split_at`, logs a kSplit NTA, and
+  // applies it.  A leaf split at count() moves nothing and opens an empty
+  // right sibling bounded below by the pending (key, rid) — the
+  // bottom-up-mimicking append split and the "no higher keys" case of the
+  // IB split (section 2.3.1); other splits ignore (key, rid).  Outputs the
+  // new sibling's guard and the separator that now bounds it from below.
+  // May grow the tree and/or split parents recursively; indices in `path`
+  // stay aligned (a new root is inserted at the front).
   Status SplitNode(std::vector<WritePageGuard>* path, size_t* idx,
-                   int split_at, WritePageGuard* new_guard,
-                   std::string* out_sep_key, Rid* out_sep_rid);
-
-  // Leaf-only split that moves nothing: opens an empty right sibling
-  // bounded below by (key, rid) — the bottom-up-mimicking append split and
-  // the "no higher keys" case of the IB split (section 2.3.1).  On return
-  // path->back() is the new empty leaf.
-  Status SplitEmptyRight(std::vector<WritePageGuard>* path, size_t idx,
-                         std::string_view key, const Rid& rid);
+                   int split_at, std::string_view key, const Rid& rid,
+                   WritePageGuard* new_guard, std::string* out_sep_key,
+                   Rid* out_sep_rid);
 
   // Ensures path[idx-1] (the parent) can absorb a separator of sep_len
   // bytes, splitting it first if needed and re-aiming the guard at
@@ -287,20 +286,26 @@ class BTree {
   // be the old root), inserting the new root guard at path->begin().
   Status GrowRoot(std::vector<WritePageGuard>* path);
 
-  // Single-key logged page mutations used by the public ops (page guard
-  // already held exclusively).
-  Status LoggedLeafInsert(Transaction* txn, WritePageGuard* leaf, int pos,
-                          std::string_view key, const Rid& rid,
-                          uint8_t flags, LogRecordType type);
-  Status LoggedSetFlags(Transaction* txn, WritePageGuard* leaf, int pos,
-                        std::string_view key, const Rid& rid, BtreeOp op,
-                        LogRecordType type);
-  Status LoggedLeafRemove(Transaction* txn, WritePageGuard* leaf, int pos,
-                          std::string_view key, const Rid& rid,
-                          LogRecordType type);
+  // Logs, then applies, one leaf entry change (kInsertKey, kPseudoDelete,
+  // kReactivate, kPhysicalDelete or kGcRemove) on the X-latched `leaf`,
+  // and notifies the entry observer.  Forward ops pass their log type; a
+  // CLR passes kClr and its undo_next.
+  Status LogKeyOp(Transaction* txn, WritePageGuard* leaf, BtreeOp op,
+                  const KeyPayload& kp, LogRecordType type,
+                  Lsn undo_next = kInvalidLsn);
+  // Logs kInitAnchor naming `root`, writes it into the X-latched anchor
+  // and publishes it (Create, BulkLoader::Finish).
+  Status SetRoot(WritePageGuard* anchor, PageId root);
+  LogRecord NewRecord(BtreeOp op, PageId page,
+                      LogRecordType type = LogRecordType::kRedoOnly) const;
 
   size_t page_size() const { return pool_->disk()->page_size(); }
   size_t LeafSoftCapacity() const;  // fill-factor-limited bytes for IB
+  // IB fill factor (section 2.2.3): whether `leaf` admits an entry of
+  // `key_len` key bytes and stays within LeafSoftCapacity().  Measured
+  // logically, so the fill factor does not depend on compression; an
+  // empty leaf always admits.
+  bool WithinFillFactor(const BTreePage& leaf, size_t key_len) const;
 
   // Observer notification helpers (called with the leaf X latch held,
   // immediately after the page mutation they describe).

@@ -17,6 +17,42 @@ int CompareIndexKey(std::string_view a_key, const Rid& a_rid,
   return 0;
 }
 
+Rid BlobEntry::rid() const {
+  const char* p = header.data() + header.size() - 6;
+  return Rid(DecodeFixed32(p), DecodeFixed16(p + 4));
+}
+
+void InitEntryBlob(std::string* blob) {
+  blob->clear();
+  PutFixed16(blob, 0);
+}
+
+void AppendBlobEntry(std::string* blob, std::string_view header,
+                     std::string_view key_prefix,
+                     std::string_view key_suffix) {
+  const size_t klen = key_prefix.size() + key_suffix.size();
+  PutFixed16(blob, static_cast<uint16_t>(header.size() + 2 + klen));
+  blob->append(header);
+  PutFixed16(blob, static_cast<uint16_t>(klen));
+  blob->append(key_prefix);
+  blob->append(key_suffix);
+  EncodeFixed16(blob->data(),
+                static_cast<uint16_t>(EntryBlobCount(*blob) + 1));
+}
+
+void AppendLeafBlobEntry(std::string* blob, uint8_t flags, const Rid& rid,
+                         std::string_view key) {
+  char header[kLeafEntryHeader];
+  header[0] = static_cast<char>(flags);
+  EncodeFixed32(header + 1, rid.page);
+  EncodeFixed16(header + 5, rid.slot);
+  AppendBlobEntry(blob, std::string_view(header, sizeof(header)), key);
+}
+
+uint16_t EntryBlobCount(std::string_view blob) {
+  return blob.size() < 2 ? 0 : DecodeFixed16(blob.data());
+}
+
 void BTreePage::Init(bool leaf, uint8_t level) {
   data_[kTypeOff] = static_cast<char>(leaf ? PageType::kBtreeLeaf
                                            : PageType::kBtreeInternal);
@@ -77,8 +113,7 @@ void BTreePage::set_entry_offset(int i, uint16_t off) {
 }
 
 size_t BTreePage::EntryHeaderSize() const {
-  // leaf: flags(1) + rid(6); internal: child(4) + rid(6).
-  return is_leaf() ? 1 + 6 : 4 + 6;
+  return is_leaf() ? kLeafEntryHeader : kInternalEntryHeader;
 }
 
 std::string_view BTreePage::RawEntry(int i) const {
@@ -351,47 +386,25 @@ void BTreePage::RemoveAt(int i) {
 }
 
 std::string BTreePage::SerializeEntries(int from, int to) const {
-  // Full-key raw entries, independent of this page's prefix, so the blob
-  // can be replayed into any page (splits, batch inserts, checkpoints).
   std::string blob;
-  PutFixed16(&blob, static_cast<uint16_t>(to - from));
+  InitEntryBlob(&blob);
   std::string_view pfx = prefix();
   size_t hdr = EntryHeaderSize();
   for (int i = from; i < to; ++i) {
     std::string_view raw = RawEntry(i);
-    std::string_view sfx = raw.substr(hdr + 2);
-    PutFixed16(&blob,
-               static_cast<uint16_t>(hdr + 2 + pfx.size() + sfx.size()));
-    blob.append(raw.substr(0, hdr));
-    PutFixed16(&blob, static_cast<uint16_t>(pfx.size() + sfx.size()));
-    blob.append(pfx);
-    blob.append(sfx);
+    AppendBlobEntry(&blob, raw.substr(0, hdr), pfx, raw.substr(hdr + 2));
   }
   return blob;
 }
 
 Status BTreePage::AppendSerialized(std::string_view blob) {
-  BufferReader r(blob);
-  uint16_t n;
-  if (!r.GetFixed16(&n)) return Status::Corruption("entry blob");
-  size_t hdr = EntryHeaderSize();
-  for (uint16_t i = 0; i < n; ++i) {
-    uint16_t len;
-    if (!r.GetFixed16(&len)) return Status::Corruption("entry blob len");
-    if (r.remaining() < len) return Status::Corruption("entry blob bytes");
-    std::string_view raw(blob.data() + r.position(), len);
-    if (len < hdr + 2) return Status::Corruption("entry blob entry");
-    uint16_t klen = DecodeFixed16(raw.data() + hdr);
-    if (hdr + 2 + klen != len) return Status::Corruption("entry blob entry");
-    // Re-encode under this page's prefix.
-    OIB_RETURN_IF_ERROR(
-        InsertFullAt(count(), raw.substr(hdr + 2, klen), raw.substr(0, hdr)));
-    r.Skip(len);
-  }
-  return Status::OK();
+  return ForEachBlobEntry(blob, EntryHeaderSize(), [&](const BlobEntry& e) {
+    return InsertFullAt(count(), e.key, e.header);
+  });
 }
 
 void BTreePage::TruncateFrom(int from) {
+  if (from >= count()) return;
   set_count(static_cast<uint16_t>(from));
   Compact();
 }

@@ -52,6 +52,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/coding.h"
 #include "common/key.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -66,6 +67,39 @@ inline constexpr uint8_t kEntryPseudoDeleted = 0x1;
 // normalized byte strings: memcmp order.
 int CompareIndexKey(std::string_view a_key, const Rid& a_rid,
                     std::string_view b_key, const Rid& b_rid);
+
+// The full-key entry blob: the one encoding of an entry list, carried by
+// split records (the moved entries) and IB batch records (the inserted
+// ones):
+//   [n u16] then n x ([len u16][header][klen u16][key])
+// `header` is what a page stores before an entry's key — leaf: flags u8 +
+// RID; internal: child u32 + RID — so the RID is its last six bytes.  Keys
+// are full, independent of any page's prefix, so a blob replays into any
+// page.
+inline constexpr size_t kLeafEntryHeader = 1 + 6;
+inline constexpr size_t kInternalEntryHeader = 4 + 6;
+
+struct BlobEntry {
+  std::string_view header;
+  std::string_view key;
+  uint8_t flags() const { return static_cast<uint8_t>(header[0]); }  // leaf
+  Rid rid() const;
+};
+
+// Makes *blob an empty blob (n = 0).
+void InitEntryBlob(std::string* blob);
+// Appends an entry whose key is key_prefix + key_suffix and bumps n.
+void AppendBlobEntry(std::string* blob, std::string_view header,
+                     std::string_view key_prefix,
+                     std::string_view key_suffix = {});
+void AppendLeafBlobEntry(std::string* blob, uint8_t flags, const Rid& rid,
+                         std::string_view key);
+// n of a well-formed blob (0 if it is too short to hold one).
+uint16_t EntryBlobCount(std::string_view blob);
+// Calls fn(const BlobEntry&) -> Status for each entry in order, stopping
+// at the first error; entries must carry `header_size`-byte headers.
+template <typename Fn>
+Status ForEachBlobEntry(std::string_view blob, size_t header_size, Fn&& fn);
 
 class BTreePage {
  public:
@@ -128,14 +162,11 @@ class BTreePage {
                           PageId child);
   void RemoveAt(int i);
 
-  // Serializes entries [from, to) as an opaque blob (for split log records
-  // and checkpoints) and appends a previously serialized blob in order.
-  // Blob entries carry FULL keys — the blob format is independent of the
-  // source/target pages' prefixes; AppendSerialized re-encodes under the
-  // target's prefix.
+  // Serializes entries [from, to) as a full-key entry blob, and appends a
+  // blob's entries in order, re-encoded under this page's prefix.
   std::string SerializeEntries(int from, int to) const;
   Status AppendSerialized(std::string_view blob);
-  // Removes entries [from, count()).
+  // Removes entries [from, count()); nothing to do if from == count().
   void TruncateFrom(int from);
 
  private:
@@ -177,6 +208,28 @@ class BTreePage {
   char* data_;
   size_t page_size_;
 };
+
+template <typename Fn>
+Status ForEachBlobEntry(std::string_view blob, size_t header_size, Fn&& fn) {
+  if (blob.size() < 2) return Status::Corruption("entry blob");
+  const uint16_t n = EntryBlobCount(blob);
+  size_t off = 2;
+  for (uint16_t i = 0; i < n; ++i) {
+    if (blob.size() - off < 2) return Status::Corruption("entry blob len");
+    const size_t len = DecodeFixed16(blob.data() + off);
+    off += 2;
+    if (blob.size() - off < len || len < header_size + 2 ||
+        DecodeFixed16(blob.data() + off + header_size) + header_size + 2 !=
+            len) {
+      return Status::Corruption("entry blob entry");
+    }
+    OIB_RETURN_IF_ERROR(fn(BlobEntry{blob.substr(off, header_size),
+                                     blob.substr(off + header_size + 2,
+                                                 len - header_size - 2)}));
+    off += len;
+  }
+  return Status::OK();
+}
 
 }  // namespace oib
 

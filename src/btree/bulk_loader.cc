@@ -5,10 +5,6 @@
 
 namespace oib {
 
-namespace {
-constexpr size_t kAnchorRootOff = 8;
-}  // namespace
-
 size_t BulkLoader::SoftCapacity() const {
   return static_cast<size_t>(
       static_cast<double>(pool_->disk()->page_size()) *
@@ -158,22 +154,12 @@ Status BulkLoader::Finish() {
   OIB_RETURN_IF_ERROR(ReleaseGuards());
   if (new_root != tree_->root()) {
     // Publish the new root.  This is the loader's only logged action: the
-    // anchor must survive restart once the build commits.
-    // The anchor is latched before the record is logged, so a
-    // checkpoint's pool flush cannot write it in between.
+    // anchor must survive restart once the build commits.  The anchor is
+    // latched before the record is logged, so a checkpoint's pool flush
+    // cannot write it in between.
     auto anchor = pool_->FetchWrite(tree_->anchor_page());
     if (!anchor.ok()) return anchor.status();
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kBtree;
-    rec.opcode = static_cast<uint8_t>(BtreeOp::kInitAnchor);
-    rec.page_id = tree_->anchor_page();
-    rec.aux_id = tree_->index_id();
-    PutFixed32(&rec.redo, new_root);
-    OIB_RETURN_IF_ERROR(tree_->txns_->AppendLog(nullptr, &rec));
-    EncodeFixed32(anchor->data() + kAnchorRootOff, new_root);
-    anchor->set_page_lsn(rec.lsn);
-    tree_->root_.store(new_root);
+    OIB_RETURN_IF_ERROR(tree_->SetRoot(&*anchor, new_root));
   }
   return Status::OK();
 }

@@ -20,28 +20,72 @@ Status DecodeHeapPayload(std::string_view in, HeapRecPayload* out) {
   return Status::OK();
 }
 
-// ----------------------------- HeapFile -----------------------------
+Status ApplyRecordChange(SlottedPage* sp, HeapOp op, SlotId slot,
+                         std::string_view bytes) {
+  switch (op) {
+    case HeapOp::kInsert:
+      return sp->InsertAt(slot, bytes);
+    case HeapOp::kDelete:
+      return sp->Delete(slot);
+    case HeapOp::kUpdate:
+      return sp->Update(slot, bytes);
+    default:
+      return Status::Corruption("not a heap record change");
+  }
+}
 
-Status HeapFile::Create() {
-  PageId id;
-  auto guard = pool_->NewPageNoReuse(&id);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  sp.Init(PageType::kHeap);
-  // NTA: format record (system action, no transaction, redo-only).
+namespace {
+
+// A redo-only heap RM record of `op` on `page`; `owner` (a table or a
+// side-file's index) only labels it, since redo is physical.
+LogRecord HeapRecord(HeapOp op, PageId page, uint32_t owner) {
   LogRecord rec;
   rec.type = LogRecordType::kRedoOnly;
   rec.rm_id = RmId::kHeap;
-  rec.opcode = static_cast<uint8_t>(HeapOp::kFormat);
-  rec.page_id = id;
-  rec.aux_id = table_id_;
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
+  rec.opcode = static_cast<uint8_t>(op);
+  rec.page_id = page;
+  rec.aux_id = owner;
+  return rec;
+}
+
+}  // namespace
+
+StatusOr<PageId> AppendChainPage(BufferPool* pool, TransactionManager* txns,
+                                 uint32_t owner, PageType type,
+                                 PageId tail) {
+  const size_t page_size = pool->disk()->page_size();
+  PageId id;
+  {
+    auto guard = pool->NewPageNoReuse(&id);
+    if (!guard.ok()) return guard.status();
+    SlottedPage(guard->data(), page_size).Init(type);
+    LogRecord rec = HeapRecord(HeapOp::kFormat, id, owner);
+    rec.redo.push_back(static_cast<char>(type));
+    OIB_RETURN_IF_ERROR(txns->AppendLog(nullptr, &rec));
+    guard->set_page_lsn(rec.lsn);
+  }
+  if (tail == kInvalidPageId) return id;
+  auto guard = pool->FetchWrite(tail);
+  if (!guard.ok()) return guard.status();
+  SlottedPage(guard->data(), page_size).set_next_page(id);
+  LogRecord rec = HeapRecord(HeapOp::kLink, tail, owner);
+  PutFixed32(&rec.redo, id);
+  OIB_RETURN_IF_ERROR(txns->AppendLog(nullptr, &rec));
   guard->set_page_lsn(rec.lsn);
-  first_page_ = id;
-  tail_page_.store(id);
+  return id;
+}
+
+// ----------------------------- HeapFile -----------------------------
+
+Status HeapFile::Create() {
+  auto id = AppendChainPage(pool_, txns_, table_id_, PageType::kHeap,
+                            kInvalidPageId);
+  if (!id.ok()) return id.status();
+  first_page_ = *id;
+  tail_page_.store(*id);
   {
     sync::MutexLock g(&hints_mu_);
-    chain_pages_.assign(1, id);
+    chain_pages_.assign(1, *id);
   }
   return Status::OK();
 }
@@ -132,43 +176,15 @@ Status HeapFile::Open(PageId first, const ChainSnapshot* snapshot) {
 }
 
 StatusOr<PageId> HeapFile::ExtendChain() {
-  PageId old_tail = tail_page_.load();
-  PageId id;
-  {
-    auto guard = pool_->NewPageNoReuse(&id);
-    if (!guard.ok()) return guard.status();
-    SlottedPage sp(guard->data(), pool_->disk()->page_size());
-    sp.Init(PageType::kHeap);
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kHeap;
-    rec.opcode = static_cast<uint8_t>(HeapOp::kFormat);
-    rec.page_id = id;
-    rec.aux_id = table_id_;
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    guard->set_page_lsn(rec.lsn);
-  }
-  {
-    auto guard = pool_->FetchWrite(old_tail);
-    if (!guard.ok()) return guard.status();
-    SlottedPage sp(guard->data(), pool_->disk()->page_size());
-    sp.set_next_page(id);
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kHeap;
-    rec.opcode = static_cast<uint8_t>(HeapOp::kLink);
-    rec.page_id = old_tail;
-    rec.aux_id = table_id_;
-    PutFixed32(&rec.redo, id);
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    guard->set_page_lsn(rec.lsn);
-  }
-  tail_page_.store(id);
+  auto id = AppendChainPage(pool_, txns_, table_id_, PageType::kHeap,
+                            tail_page_.load());
+  if (!id.ok()) return id.status();
+  tail_page_.store(*id);
   {
     sync::MutexLock g(&hints_mu_);
-    chain_pages_.push_back(id);
+    chain_pages_.push_back(*id);
   }
-  return id;
+  return *id;
 }
 
 StatusOr<WritePageGuard> HeapFile::PageForInsert(size_t need) {
@@ -206,57 +222,54 @@ StatusOr<WritePageGuard> HeapFile::PageForInsert(size_t need) {
   }
 }
 
+Status HeapFile::LogChange(Transaction* txn, WritePageGuard* guard,
+                           HeapOp op, SlotId slot, uint32_t visible_count,
+                           std::string_view bytes, std::string_view undo) {
+  LogRecord lr = HeapRecord(op, guard->page_id(), table_id_);
+  lr.type = LogRecordType::kUpdate;
+  EncodeHeapPayload(&lr.redo, slot, visible_count, bytes);
+  lr.undo.assign(undo.data(), undo.size());
+  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
+  guard->set_page_lsn(lr.lsn);
+  return Status::OK();
+}
+
 StatusOr<Rid> HeapFile::Insert(Transaction* txn, std::string_view rec,
                                const VisibleCountFn& visible_count_fn,
                                const TryClaimRidFn& try_claim) {
   auto guard = PageForInsert(rec.size());
   if (!guard.ok()) return guard.status();
   SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  SlotId target = kInvalidSlotId;
-  if (try_claim) {
-    // Reuse a dead slot only if its RID lock is claimable (its deleter
-    // committed); otherwise append a fresh slot.
-    for (SlotId s2 = 0; s2 < sp.slot_count(); ++s2) {
-      if (!sp.IsLive(s2) && try_claim(Rid(guard->page_id(), s2))) {
-        target = s2;
-        break;
-      }
+  // Reuse the first dead slot — with try_claim, only one whose RID lock
+  // is claimable (its deleter committed) — else append a fresh slot.
+  SlotId target = sp.slot_count();
+  for (SlotId s = 0; s < sp.slot_count(); ++s) {
+    if (!sp.IsLive(s) && (!try_claim || try_claim(Rid(guard->page_id(), s)))) {
+      target = s;
+      break;
     }
-    if (target == kInvalidSlotId) target = sp.slot_count();
-    Status ins = sp.InsertAt(target, rec);
-    if (ins.IsBusy()) {
-      // The page's free space was tied up in unclaimable dead slots; put
-      // the record on a fresh page instead.
-      guard->Release();
-      sync::MutexLock ext(&extend_mu_);
-      auto extended = ExtendChain();
-      if (!extended.ok()) return extended.status();
-      auto g2 = pool_->FetchWrite(*extended);
-      if (!g2.ok()) return g2.status();
-      *guard = std::move(*g2);
-      SlottedPage sp2(guard->data(), pool_->disk()->page_size());
-      target = sp2.slot_count();
-      OIB_RETURN_IF_ERROR(sp2.InsertAt(target, rec));
-    } else if (!ins.ok()) {
-      return ins;
-    }
-  } else {
-    auto slot = sp.Insert(rec);
-    if (!slot.ok()) return slot.status();
-    target = *slot;
+  }
+  Status ins = ApplyRecordChange(&sp, HeapOp::kInsert, target, rec);
+  if (ins.IsBusy()) {
+    // The page's free space was tied up in unclaimable dead slots; put
+    // the record on a fresh page instead.
+    guard->Release();
+    sync::MutexLock ext(&extend_mu_);
+    auto extended = ExtendChain();
+    if (!extended.ok()) return extended.status();
+    auto g2 = pool_->FetchWrite(*extended);
+    if (!g2.ok()) return g2.status();
+    *guard = std::move(*g2);
+    SlottedPage sp2(guard->data(), pool_->disk()->page_size());
+    target = sp2.slot_count();
+    OIB_RETURN_IF_ERROR(ApplyRecordChange(&sp2, HeapOp::kInsert, target, rec));
+  } else if (!ins.ok()) {
+    return ins;
   }
   Rid rid(guard->page_id(), target);
-  uint32_t visible_count = visible_count_fn ? visible_count_fn(rid) : 0;
-
-  LogRecord lr;
-  lr.type = LogRecordType::kUpdate;
-  lr.rm_id = RmId::kHeap;
-  lr.opcode = static_cast<uint8_t>(HeapOp::kInsert);
-  lr.page_id = rid.page;
-  lr.aux_id = table_id_;
-  EncodeHeapPayload(&lr.redo, rid.slot, visible_count, rec);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
-  guard->set_page_lsn(lr.lsn);
+  OIB_RETURN_IF_ERROR(
+      LogChange(txn, &*guard, HeapOp::kInsert, target,
+                visible_count_fn ? visible_count_fn(rid) : 0, rec));
   return rid;
 }
 
@@ -265,74 +278,44 @@ Status HeapFile::InsertAt(Transaction* txn, Rid rid, std::string_view rec,
   auto guard = pool_->FetchWrite(rid.page);
   if (!guard.ok()) return guard.status();
   SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  OIB_RETURN_IF_ERROR(sp.InsertAt(rid.slot, rec));
+  OIB_RETURN_IF_ERROR(ApplyRecordChange(&sp, HeapOp::kInsert, rid.slot, rec));
+  return LogChange(txn, &*guard, HeapOp::kInsert, rid.slot,
+                   visible_count_fn ? visible_count_fn(rid) : 0, rec);
+}
+
+Status HeapFile::ChangeInPlace(Transaction* txn, Rid rid, HeapOp op,
+                               std::string_view rec,
+                               const VisibleCountFn& visible_count_fn,
+                               std::string* old_rec) {
+  auto guard = pool_->FetchWrite(rid.page);
+  if (!guard.ok()) return guard.status();
+  SlottedPage sp(guard->data(), pool_->disk()->page_size());
+  auto old = sp.Get(rid.slot);
+  if (!old.ok()) return old.status();
+  std::string old_copy(old->data(), old->size());
   uint32_t visible_count = visible_count_fn ? visible_count_fn(rid) : 0;
-  LogRecord lr;
-  lr.type = LogRecordType::kUpdate;
-  lr.rm_id = RmId::kHeap;
-  lr.opcode = static_cast<uint8_t>(HeapOp::kInsert);
-  lr.page_id = rid.page;
-  lr.aux_id = table_id_;
-  EncodeHeapPayload(&lr.redo, rid.slot, visible_count, rec);
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
-  guard->set_page_lsn(lr.lsn);
+  OIB_RETURN_IF_ERROR(ApplyRecordChange(&sp, op, rid.slot, rec));
+  OIB_RETURN_IF_ERROR(
+      LogChange(txn, &*guard, op, rid.slot, visible_count, rec, old_copy));
+  if (old_rec != nullptr) *old_rec = std::move(old_copy);
   return Status::OK();
 }
 
 Status HeapFile::Delete(Transaction* txn, Rid rid,
                         const VisibleCountFn& visible_count_fn,
                         std::string* old_rec) {
-  auto guard = pool_->FetchWrite(rid.page);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  auto old = sp.Get(rid.slot);
-  if (!old.ok()) return old.status();
-  std::string old_copy(old->data(), old->size());
-  uint32_t visible_count = visible_count_fn ? visible_count_fn(rid) : 0;
-  OIB_RETURN_IF_ERROR(sp.Delete(rid.slot));
-
-  LogRecord lr;
-  lr.type = LogRecordType::kUpdate;
-  lr.rm_id = RmId::kHeap;
-  lr.opcode = static_cast<uint8_t>(HeapOp::kDelete);
-  lr.page_id = rid.page;
-  lr.aux_id = table_id_;
-  EncodeHeapPayload(&lr.redo, rid.slot, visible_count, {});
-  lr.undo = old_copy;
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
-  guard->set_page_lsn(lr.lsn);
-  if (old_rec != nullptr) *old_rec = std::move(old_copy);
-  {
-    sync::MutexLock g(&hints_mu_);
-    if (free_hints_.size() < 64) free_hints_.push_back(rid.page);
-  }
+  OIB_RETURN_IF_ERROR(
+      ChangeInPlace(txn, rid, HeapOp::kDelete, {}, visible_count_fn, old_rec));
+  sync::MutexLock g(&hints_mu_);
+  if (free_hints_.size() < 64) free_hints_.push_back(rid.page);
   return Status::OK();
 }
 
 Status HeapFile::Update(Transaction* txn, Rid rid, std::string_view rec,
                         const VisibleCountFn& visible_count_fn,
                         std::string* old_rec) {
-  auto guard = pool_->FetchWrite(rid.page);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  auto old = sp.Get(rid.slot);
-  if (!old.ok()) return old.status();
-  std::string old_copy(old->data(), old->size());
-  uint32_t visible_count = visible_count_fn ? visible_count_fn(rid) : 0;
-  OIB_RETURN_IF_ERROR(sp.Update(rid.slot, rec));
-
-  LogRecord lr;
-  lr.type = LogRecordType::kUpdate;
-  lr.rm_id = RmId::kHeap;
-  lr.opcode = static_cast<uint8_t>(HeapOp::kUpdate);
-  lr.page_id = rid.page;
-  lr.aux_id = table_id_;
-  EncodeHeapPayload(&lr.redo, rid.slot, visible_count, rec);
-  lr.undo = old_copy;
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &lr));
-  guard->set_page_lsn(lr.lsn);
-  if (old_rec != nullptr) *old_rec = std::move(old_copy);
-  return Status::OK();
+  return ChangeInPlace(txn, rid, HeapOp::kUpdate, rec, visible_count_fn,
+                       old_rec);
 }
 
 StatusOr<std::string> HeapFile::Get(Rid rid) const {
@@ -411,7 +394,8 @@ Status HeapRm::Redo(const LogRecord& rec) {
   SlottedPage sp(guard->data(), pool_->disk()->page_size());
   switch (op) {
     case HeapOp::kFormat:
-      sp.Init(PageType::kHeap);
+      if (rec.redo.empty()) return Status::Corruption("format redo");
+      sp.Init(static_cast<PageType>(static_cast<uint8_t>(rec.redo[0])));
       break;
     case HeapOp::kLink: {
       BufferReader r(rec.redo);
@@ -420,22 +404,10 @@ Status HeapRm::Redo(const LogRecord& rec) {
       sp.set_next_page(next);
       break;
     }
-    case HeapOp::kInsert: {
+    default: {
       HeapRecPayload p;
       OIB_RETURN_IF_ERROR(DecodeHeapPayload(rec.redo, &p));
-      OIB_RETURN_IF_ERROR(sp.InsertAt(p.slot, p.bytes));
-      break;
-    }
-    case HeapOp::kDelete: {
-      HeapRecPayload p;
-      OIB_RETURN_IF_ERROR(DecodeHeapPayload(rec.redo, &p));
-      OIB_RETURN_IF_ERROR(sp.Delete(p.slot));
-      break;
-    }
-    case HeapOp::kUpdate: {
-      HeapRecPayload p;
-      OIB_RETURN_IF_ERROR(DecodeHeapPayload(rec.redo, &p));
-      OIB_RETURN_IF_ERROR(sp.Update(p.slot, p.bytes));
+      OIB_RETURN_IF_ERROR(ApplyRecordChange(&sp, op, p.slot, p.bytes));
       break;
     }
   }
@@ -448,6 +420,25 @@ Status HeapRm::Undo(Transaction* txn, const LogRecord& rec) {
   HeapRecPayload p;
   OIB_RETURN_IF_ERROR(DecodeHeapPayload(rec.redo, &p));
   Rid rid(rec.page_id, p.slot);
+  // The CLR's change: the inverse op and the image it leaves in the slot
+  // (the undo payload; none for undo-of-insert).
+  HeapOp inverse;
+  std::string_view image;
+  switch (op) {
+    case HeapOp::kInsert:
+      inverse = HeapOp::kDelete;
+      break;
+    case HeapOp::kDelete:
+      inverse = HeapOp::kInsert;
+      image = rec.undo;
+      break;
+    case HeapOp::kUpdate:
+      inverse = HeapOp::kUpdate;
+      image = rec.undo;
+      break;
+    default:
+      return Status::Corruption("undo of non-undoable heap op");
+  }
 
   // Figure 2: X-latch the target page; decide index-compensation actions
   // *under the latch* (the Current-RID comparison must be ordered with IB's
@@ -455,61 +446,20 @@ Status HeapRm::Undo(Transaction* txn, const LogRecord& rec) {
   // crash in between re-runs the whole undo, and the compensations are
   // idempotent; the reverse order would lose them.  Then modify the
   // record, write the CLR, bump the page LSN, and unlatch.
-  std::string before;  // image restored by this undo
-  std::string after;   // image removed by this undo
-  {
-    auto guard = pool_->FetchWrite(rec.page_id);
-    if (!guard.ok()) return guard.status();
-    SlottedPage sp(guard->data(), pool_->disk()->page_size());
-
-    switch (op) {
-      case HeapOp::kInsert:
-        after.assign(p.bytes.data(), p.bytes.size());
-        break;
-      case HeapOp::kDelete:
-        before = rec.undo;
-        break;
-      case HeapOp::kUpdate:
-        before = rec.undo;
-        after.assign(p.bytes.data(), p.bytes.size());
-        break;
-      default:
-        return Status::Corruption("undo of non-undoable heap op");
-    }
-    if (undo_hook_) {
-      OIB_RETURN_IF_ERROR(undo_hook_(txn, rec.aux_id, op, rid, before,
-                                     after, p.visible_count));
-    }
-
-    LogRecord clr;
-    clr.rm_id = RmId::kHeap;
-    clr.page_id = rec.page_id;
-    clr.aux_id = rec.aux_id;
-    switch (op) {
-      case HeapOp::kInsert: {
-        OIB_RETURN_IF_ERROR(sp.Delete(p.slot));
-        clr.opcode = static_cast<uint8_t>(HeapOp::kDelete);
-        EncodeHeapPayload(&clr.redo, p.slot, p.visible_count, {});
-        break;
-      }
-      case HeapOp::kDelete: {
-        OIB_RETURN_IF_ERROR(sp.InsertAt(p.slot, rec.undo));
-        clr.opcode = static_cast<uint8_t>(HeapOp::kInsert);
-        EncodeHeapPayload(&clr.redo, p.slot, p.visible_count, rec.undo);
-        break;
-      }
-      case HeapOp::kUpdate: {
-        OIB_RETURN_IF_ERROR(sp.Update(p.slot, rec.undo));
-        clr.opcode = static_cast<uint8_t>(HeapOp::kUpdate);
-        EncodeHeapPayload(&clr.redo, p.slot, p.visible_count, rec.undo);
-        break;
-      }
-      default:
-        return Status::Corruption("undo of non-undoable heap op");
-    }
-    OIB_RETURN_IF_ERROR(txns_->AppendClr(txn, rec, &clr));
-    guard->set_page_lsn(clr.lsn);
+  auto guard = pool_->FetchWrite(rec.page_id);
+  if (!guard.ok()) return guard.status();
+  if (undo_hook_) {
+    // `image` is restored and the forward image p.bytes (none for a
+    // delete) removed.
+    OIB_RETURN_IF_ERROR(undo_hook_(txn, rec.aux_id, op, rid, image, p.bytes,
+                                   p.visible_count));
   }
+  SlottedPage sp(guard->data(), pool_->disk()->page_size());
+  OIB_RETURN_IF_ERROR(ApplyRecordChange(&sp, inverse, p.slot, image));
+  LogRecord clr = HeapRecord(inverse, rec.page_id, rec.aux_id);
+  EncodeHeapPayload(&clr.redo, p.slot, p.visible_count, image);
+  OIB_RETURN_IF_ERROR(txns_->AppendClr(txn, rec, &clr));
+  guard->set_page_lsn(clr.lsn);
   return Status::OK();
 }
 

@@ -15,9 +15,15 @@
 // with chain (scan) order; SF's Target-RID < Current-RID visibility test
 // (section 3.1) depends on this monotonicity.
 //
+// Every heap RM record has one apply: ApplyRecordChange for record inserts,
+// deletes and updates, SlottedPage::Init and set_next_page for the format
+// and link records.  Forward operations, CLRs and restart redo all change
+// pages through them.  The format and link records are shared with the
+// side-file, whose chain AppendChainPage grows the same way.
+//
 // HeapRm is the heap's recovery handler: physical per-page redo, plus undo
-// that restores the record and then invokes an optional hook so the record
-// manager can run the Figure 2 index-compensation logic.
+// that invokes an optional hook so the record manager can run the Figure 2
+// index-compensation logic, then restores the record with a CLR.
 
 #ifndef OIB_HEAP_HEAP_FILE_H_
 #define OIB_HEAP_HEAP_FILE_H_
@@ -42,9 +48,24 @@ enum class HeapOp : uint8_t {
   kInsert = 1,
   kDelete = 2,
   kUpdate = 3,
-  kFormat = 4,  // NTA: initialize a fresh heap page
+  kFormat = 4,  // NTA: initialize a fresh chain page (payload: PageType u8)
   kLink = 5,    // NTA: chain a new page after the old tail
 };
+
+// The one apply of kInsert, kDelete and kUpdate: places `bytes` in `slot`,
+// marks it dead, or replaces its record.  Side-file appends redo through
+// its kInsert.
+Status ApplyRecordChange(SlottedPage* sp, HeapOp op, SlotId slot,
+                         std::string_view bytes);
+
+// Allocates a fresh page (never a reused id, so chain order is page-id
+// order), formats it as `type` and, unless `tail` is kInvalidPageId (a
+// chain's first page), links it after `tail`.  Both changes are logged as
+// redo-only kFormat / kLink nested top actions; `owner` (the table, or the
+// side-file's index) only labels the records.  Heap files and side-files
+// grow their chains through it.
+StatusOr<PageId> AppendChainPage(BufferPool* pool, TransactionManager* txns,
+                                 uint32_t owner, PageType type, PageId tail);
 
 class HeapFile {
  public:
@@ -147,6 +168,17 @@ class HeapFile {
   StatusOr<WritePageGuard> PageForInsert(size_t need);
   // Allocates, formats, and links a fresh tail page (NTA-logged).
   StatusOr<PageId> ExtendChain();
+  // Logs record change `op`, already applied to the X-latched page, and
+  // stamps the page LSN.
+  Status LogChange(Transaction* txn, WritePageGuard* guard, HeapOp op,
+                   SlotId slot, uint32_t visible_count,
+                   std::string_view bytes, std::string_view undo = {});
+  // Delete (kDelete, empty `rec`) or Update (kUpdate) of a live record;
+  // the old image is logged as the undo and returned in *old_rec.
+  Status ChangeInPlace(Transaction* txn, Rid rid, HeapOp op,
+                       std::string_view rec,
+                       const VisibleCountFn& visible_count_fn,
+                       std::string* old_rec);
 
   TableId table_id_;
   BufferPool* pool_;

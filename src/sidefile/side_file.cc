@@ -1,7 +1,7 @@
 #include "sidefile/side_file.h"
 
 #include "common/coding.h"
-#include "heap/slotted_page.h"
+#include "heap/heap_file.h"
 
 namespace oib {
 
@@ -23,21 +23,11 @@ Status DecodeSideFileEntry(std::string_view in, SideFile::Entry* out) {
 }
 
 Status SideFile::Create() {
-  PageId id;
-  auto guard = pool_->NewPage(&id);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  sp.Init(PageType::kSideFile);
-  LogRecord rec;
-  rec.type = LogRecordType::kRedoOnly;
-  rec.rm_id = RmId::kSideFile;
-  rec.opcode = static_cast<uint8_t>(SfOp::kFormat);
-  rec.page_id = id;
-  rec.aux_id = index_id_;
-  OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-  guard->set_page_lsn(rec.lsn);
-  first_page_ = id;
-  tail_page_.store(id);
+  auto id = AppendChainPage(pool_, txns_, index_id_, PageType::kSideFile,
+                            kInvalidPageId);
+  if (!id.ok()) return id.status();
+  first_page_ = *id;
+  tail_page_.store(*id);
   {
     sync::MutexLock g(&count_mu_);
     page_count_ = 1;
@@ -73,43 +63,15 @@ Status SideFile::Open(PageId first) {
 }
 
 StatusOr<PageId> SideFile::ExtendChain() {
-  PageId old_tail = tail_page_.load();
-  PageId id;
-  {
-    auto guard = pool_->NewPage(&id);
-    if (!guard.ok()) return guard.status();
-    SlottedPage sp(guard->data(), pool_->disk()->page_size());
-    sp.Init(PageType::kSideFile);
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kSideFile;
-    rec.opcode = static_cast<uint8_t>(SfOp::kFormat);
-    rec.page_id = id;
-    rec.aux_id = index_id_;
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    guard->set_page_lsn(rec.lsn);
-  }
-  {
-    auto guard = pool_->FetchWrite(old_tail);
-    if (!guard.ok()) return guard.status();
-    SlottedPage sp(guard->data(), pool_->disk()->page_size());
-    sp.set_next_page(id);
-    LogRecord rec;
-    rec.type = LogRecordType::kRedoOnly;
-    rec.rm_id = RmId::kSideFile;
-    rec.opcode = static_cast<uint8_t>(SfOp::kLink);
-    rec.page_id = old_tail;
-    rec.aux_id = index_id_;
-    PutFixed32(&rec.redo, id);
-    OIB_RETURN_IF_ERROR(txns_->AppendLog(nullptr, &rec));
-    guard->set_page_lsn(rec.lsn);
-  }
-  tail_page_.store(id);
+  auto id = AppendChainPage(pool_, txns_, index_id_, PageType::kSideFile,
+                            tail_page_.load());
+  if (!id.ok()) return id.status();
+  tail_page_.store(*id);
   {
     sync::MutexLock g(&count_mu_);
     ++page_count_;
   }
-  return id;
+  return *id;
 }
 
 Status SideFile::Append(Transaction* txn, SideFileOp op,
@@ -124,22 +86,23 @@ Status SideFile::Append(Transaction* txn, SideFileOp op,
     // Appends must land in slot order on the tail; a page that has been
     // extended past is never appended to again.
     if (tail != tail_page_.load()) continue;
-    auto slot = sp.Insert(entry);
-    if (slot.ok()) {
+    SlotId slot = sp.slot_count();
+    Status ins = ApplyRecordChange(&sp, HeapOp::kInsert, slot, entry);
+    if (ins.ok()) {
       LogRecord rec;
       rec.type = LogRecordType::kRedoOnly;
       rec.rm_id = RmId::kSideFile;
       rec.opcode = static_cast<uint8_t>(SfOp::kAppend);
       rec.page_id = tail;
       rec.aux_id = index_id_;
-      PutFixed16(&rec.redo, *slot);
+      PutFixed16(&rec.redo, slot);
       rec.redo.append(entry);
       OIB_RETURN_IF_ERROR(txns_->AppendLog(txn, &rec));
       guard->set_page_lsn(rec.lsn);
       appended_.fetch_add(1);
       return Status::OK();
     }
-    if (!slot.status().IsBusy()) return slot.status();
+    if (!ins.IsBusy()) return ins;
     guard->Release();
     sync::MutexLock ext(&extend_mu_);
     if (tail == tail_page_.load()) {
@@ -183,31 +146,18 @@ size_t SideFile::page_count() const {
 }
 
 Status SideFileRm::Redo(const LogRecord& rec) {
-  SfOp op = static_cast<SfOp>(rec.opcode);
+  if (static_cast<SfOp>(rec.opcode) != SfOp::kAppend) {
+    return Status::Corruption("unknown side-file redo opcode");
+  }
+  BufferReader r(rec.redo);
+  uint16_t slot;
+  if (!r.GetFixed16(&slot)) return Status::Corruption("sf append redo");
   auto guard = pool_->FetchWrite(rec.page_id);
   if (!guard.ok()) return guard.status();
   if (guard->page_lsn() >= rec.lsn) return Status::OK();
   SlottedPage sp(guard->data(), pool_->disk()->page_size());
-  switch (op) {
-    case SfOp::kFormat:
-      sp.Init(PageType::kSideFile);
-      break;
-    case SfOp::kLink: {
-      BufferReader r(rec.redo);
-      uint32_t next;
-      if (!r.GetFixed32(&next)) return Status::Corruption("sf link redo");
-      sp.set_next_page(next);
-      break;
-    }
-    case SfOp::kAppend: {
-      BufferReader r(rec.redo);
-      uint16_t slot;
-      if (!r.GetFixed16(&slot)) return Status::Corruption("sf append redo");
-      OIB_RETURN_IF_ERROR(
-          sp.InsertAt(slot, rec.redo.substr(2)));
-      break;
-    }
-  }
+  OIB_RETURN_IF_ERROR(ApplyRecordChange(
+      &sp, HeapOp::kInsert, slot, std::string_view(rec.redo).substr(2)));
   guard->set_page_lsn(rec.lsn);
   return Status::OK();
 }

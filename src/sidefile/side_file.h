@@ -8,9 +8,12 @@
 // from the beginning, applying each entry to the index as a normal
 // transaction would.
 //
-// Entries live in a chain of slotted pages (same physical machinery as
-// the heap).  The drain position is a (page, slot) cursor; IB checkpoints
-// it so a restart resumes where it left off (section 3.2.5).
+// Entries live in a chain of slotted pages, grown by the heap's
+// AppendChainPage: a new page's format and link are logged as the heap
+// RM's kFormat / kLink records.  The side-file RM logs only the appends,
+// whose redo is the heap's slot insert (ApplyRecordChange).  The drain
+// position is a (page, slot) cursor; IB checkpoints it so a restart
+// resumes where it left off (section 3.2.5).
 
 #ifndef OIB_SIDEFILE_SIDE_FILE_H_
 #define OIB_SIDEFILE_SIDE_FILE_H_
@@ -32,11 +35,9 @@ enum class SideFileOp : uint8_t {
   kDeleteKey = 2,
 };
 
-// Side-file RM opcodes.
+// Side-file RM opcodes (chain growth is logged by the heap RM).
 enum class SfOp : uint8_t {
-  kAppend = 1,
-  kFormat = 2,
-  kLink = 3,
+  kAppend = 1,  // payload: [slot u16][entry]
 };
 
 class SideFile {
